@@ -3,15 +3,15 @@
 Subcommands: perm, coeffs, spa, covers, lct, sst, gct, graph-validate,
 graph-random. Every run echoes its configuration into the output
 envelope; identical configurations and seeds produce byte-identical
-payloads (wall-clock fields excluded). Exit codes: 0 ok, 2 validation
-error, 3 resource budget exceeded, 4 convergence failure.
+payloads (wall-clock fields excluded). Exit codes: 0 ok, 1 numerical
+sanity failure, 2 validation error, 3 resource budget exceeded, 4
+convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -26,13 +26,6 @@ from .spa import best_fixed_point, spa_run
 def _read(path):
     with open(path) as fh:
         return fh.read()
-
-
-def _threads(args):
-    if getattr(args, "threads", 0):
-        return args.threads
-    env = os.environ.get("BETHE_COVERS_THREADS")
-    return int(env) if env else 0
 
 
 def _envelope(args, payload, wall_ms):
@@ -172,7 +165,6 @@ def cmd_spa(args):
 def cmd_covers(args):
     start = time.monotonic()
     g = graphio.parse_graph_json(_read(args.graph))
-    threads = _threads(args)  # chunk scheduling only; output bytes unchanged
     estimates = []
     for M in range(1, args.M + 1):
         estimates.append(
@@ -182,7 +174,6 @@ def cmd_covers(args):
                 args.mode,
                 seed=args.seed + M,
                 samples=args.samples,
-                threads=threads,
             )
         )
     wall = int(1000 * (time.monotonic() - start))
@@ -355,7 +346,6 @@ def build_parser():
     sp.add_argument("--mode", default="auto", choices=["auto", "exact", "gauge", "mc"])
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=0)
     sp.set_defaults(func=cmd_covers)
 
     sp = sub.add_parser("lct", help="loop-calculus transform")

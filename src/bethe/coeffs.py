@@ -48,6 +48,7 @@ __all__ = [
 
 DIRECT_BUDGET = 10**7
 ENUM_BUDGET = 10**7
+TERM_CHUNK = 1 << 16  # Ryser terms per numpy step, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -304,31 +305,45 @@ def fractional_support(gamma, atol=1e-12) -> FractionalSupport:
     return FractionalSupport(rows, cols, r, block, hat, perm_float(hat))
 
 
-def perm_float(a) -> float:
-    """Permanent of a small float matrix by inclusion-exclusion."""
+def _subset_row_sums(cols):
+    """Row sums of every column subset of a stack [B, n, k], as [B, n, 2^k]
+    with subset bit j standing for column j, and the subset signs
+    (-1)^|S| as [2^k]."""
+    sums = np.zeros(cols.shape[:2] + (1,))
+    sign = np.ones(1)
+    for j in range(cols.shape[2]):
+        sums = np.concatenate([sums, sums + cols[:, :, j, None]], axis=-1)
+        sign = np.concatenate([sign, -sign])
+    return sums, sign
+
+
+def perm_float(a):
+    """Permanent by Ryser's inclusion-exclusion, O(2^n * n), of a matrix
+    [n, n] (a float) or a stack [B, n, n] (an array). A column subset
+    L | R of the two column halves has the row sums left[L] + right[R].
+    Terms are summed TERM_CHUNK at a time in an order fixed by n alone,
+    so a stack gets the same bits as one call per matrix."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    total = 0.0
-    row_sums = [0.0] * n
-    cols = [list(a[:, j]) for j in range(n)]
-    gray = 0
-    for s in range(1, 1 << n):
-        j = (s & -s).bit_length() - 1
-        gray ^= 1 << j
-        col = cols[j]
-        if gray >> j & 1:
+    batch = a if a.ndim == 3 else a[None]
+    n = a.shape[-1]
+    half = n // 2
+    step_b = max(1, TERM_CHUNK >> n)  # matrices per step
+    step_r = max(1, TERM_CHUNK >> half)  # right subsets per step
+    out = np.empty(len(batch))
+    for b in range(0, len(batch), step_b):
+        left, left_sign = _subset_row_sums(batch[b : b + step_b, :, :half])
+        right, right_sign = _subset_row_sums(batch[b : b + step_b, :, half:])
+        inner = np.empty((len(left), right.shape[-1]))
+        for r in range(0, right.shape[-1], step_r):
+            part = right[:, :, r : r + step_r, None]
+            terms = left_sign
             for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            for i in range(n):
-                row_sums[i] -= col[i]
-        term = 1.0
-        for v in row_sums:
-            term *= v
-        total += term if (bin(gray).count("1") & 1) == (n & 1) else -term
-    return total
+                terms = terms * (part[:, i] + left[:, i, None, :])
+            inner[:, r : r + step_r] = terms.sum(axis=-1)
+        out[b : b + step_b] = (inner * right_sign).sum(axis=-1)
+    if n % 2:
+        out = -out
+    return float(out[0]) if a.ndim == 2 else out
 
 
 # -- entropy / free-energy functions --------------------------------------

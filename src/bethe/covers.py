@@ -130,31 +130,15 @@ def spanning_forest(g: NormalFactorGraph) -> list[int]:
     return sorted(tree)
 
 
-def _cover_z(g, spec, max_table_entries):
-    cover = build_cover(g, spec)
-    return partition_function_exact(
-        cover, max_table_entries=max_table_entries, check_strict=False
-    )
-
-
-def _evaluate_specs(g, specs, max_table_entries, threads):
-    """Evaluate cover partition functions in fixed chunks of 64. With
-    threads > 1 the chunks run on a pool, but chunk results are always
-    collected and reduced in chunk order, so the output is bit-identical
-    for any worker count."""
-    chunks = [specs[start : start + CHUNK] for start in range(0, len(specs), CHUNK)]
-
-    def run_chunk(chunk):
-        return [_cover_z(g, spec, max_table_entries) for spec in chunk]
-
-    if threads and threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(run_chunk, chunks))
-    else:
-        per_chunk = [run_chunk(chunk) for chunk in chunks]
-    return [z for chunk in per_chunk for z in chunk]
+def _evaluate_specs(g, specs, max_table_entries):
+    return [
+        partition_function_exact(
+            build_cover(g, spec),
+            max_table_entries=max_table_entries,
+            check_strict=False,
+        )
+        for spec in specs
+    ]
 
 
 def _reduce_mean(values):
@@ -203,7 +187,6 @@ def degree_m_bethe(
     samples: int = MC_SAMPLES,
     exact_budget: int = EXACT_BUDGET,
     max_table_entries: int = 2**24,
-    threads: int = 0,
 ) -> DegreeMEstimate:
     """Z_{B,M}: the M-th root of the average partition function over all
     labeled M-covers.
@@ -244,7 +227,7 @@ def degree_m_bethe(
             CoverSpec(M, assignment)
             for assignment in itertools.product(perms, repeat=n_edges)
         ]
-        zs = _evaluate_specs(g, specs, max_table_entries, threads)
+        zs = _evaluate_specs(g, specs, max_table_entries)
         return _finalize(g, M, zs, "exact-enumeration")
 
     if mode == "gauge":
@@ -262,7 +245,7 @@ def degree_m_bethe(
             for pos, sigma in zip(loose, assignment):
                 full[pos] = sigma
             specs.append(CoverSpec(M, tuple(full)))
-        zs = _evaluate_specs(g, specs, max_table_entries, threads)
+        zs = _evaluate_specs(g, specs, max_table_entries)
         return _finalize(g, M, zs, "gauge-fixed-enumeration")
 
     if mode == "mc":
@@ -279,7 +262,7 @@ def degree_m_bethe(
                         ),
                     )
                 )
-        zs = _evaluate_specs(g, specs, max_table_entries, threads)
+        zs = _evaluate_specs(g, specs, max_table_entries)
         return _finalize(g, M, zs, "monte-carlo")
 
     raise ValueError(f"unknown mode {mode!r}")
@@ -293,7 +276,6 @@ def degree_m_series(
     seed: int = 0,
     samples: int = MC_SAMPLES,
     exact_budget: int = EXACT_BUDGET,
-    threads: int = 0,
 ) -> list[DegreeMEstimate]:
     """Estimates for M = 1..M_max with one seed stream per M."""
     if M_max < 1:
@@ -306,7 +288,6 @@ def degree_m_series(
             seed=seed + M,
             samples=samples,
             exact_budget=exact_budget,
-            threads=threads,
         )
         for M in range(1, M_max + 1)
     ]

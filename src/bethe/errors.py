@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Each class maps to a CLI exit code: validation/structural problems exit
-with 2, exceeded budgets with 3, and failed iterations with 4.
+Each class maps to a CLI exit code: failed numerical sanity checks exit
+with 1, validation/structural problems with 2, exceeded budgets with 3,
+and failed iterations with 4.
 """
 
 

@@ -49,7 +49,7 @@ NAIVE_CAP = 9
 LIFT_BUDGET = 10**6
 SINKHORN_TOL = 1e-12
 SINKHORN_MAX_ITERS = 10**5
-GRAY_CUTOFF = 14  # switch to the blocked vectorized path above this size
+LIFT_CHUNK = 512  # lifted matrices built and evaluated per kernel call
 
 
 @dataclass
@@ -79,63 +79,28 @@ def check_matrix(theta) -> np.ndarray:
 
 
 def perm_exact(a, cap: int = RYSER_CAP) -> float:
-    """Permanent by inclusion-exclusion over column subsets, O(2^n * n).
-
-    Small sizes walk subsets in Gray-code order with incremental row
-    sums; larger sizes evaluate subsets in vectorized blocks (same
-    formula, better constant in pure Python terms).
-    """
+    """Permanent by inclusion-exclusion over column subsets, O(2^n * n)
+    (`coeffs.perm_float`)."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError("matrix must be square")
-    if n == 0:
-        return 1.0
     if n > cap:
         raise ResourceError(f"n = {n} exceeds the inclusion-exclusion cap {cap}")
-    if n <= GRAY_CUTOFF:
-        return _perm_ryser_gray(a)
-    return _perm_ryser_blocked(a)
+    return _ryser(a)
 
 
-def _perm_ryser_gray(a: np.ndarray) -> float:
-    n = a.shape[0]
-    cols = [list(map(float, a[:, j])) for j in range(n)]
-    row_sums = [0.0] * n
-    total = 0.0
-    gray = 0
-    for s in range(1, 1 << n):
-        j = (s & -s).bit_length() - 1
-        gray ^= 1 << j
-        col = cols[j]
-        if gray >> j & 1:
-            for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            for i in range(n):
-                row_sums[i] -= col[i]
-        term = 1.0
-        for v in row_sums:
-            term *= v
-        total += term if (bin(gray).count("1") & 1) == (n & 1) else -term
-    return total
-
-
-def _perm_ryser_blocked(a: np.ndarray, block: int = 1 << 16) -> float:
-    n = a.shape[0]
-    at = a.T.copy()
-    shifts = np.arange(n, dtype=np.uint64)
-    total = 0.0
-    for start in range(1, 1 << n, block):
-        stop = min(start + block, 1 << n)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts) & np.uint64(1)).astype(float)
-        row_sums = bits @ at  # [k, i] = sum_{j in S_k} a[i, j]
-        terms = row_sums.prod(axis=1)
-        parity = bits.sum(axis=1).astype(np.int64) & 1
-        signs = np.where(parity == (n & 1), 1.0, -1.0)
-        total += float(signs @ terms)
-    return total
+def _ryser(a):
+    """`coeffs.perm_float` of a matrix or stack. A non-negative input has
+    no negative permanent: a negative sum means cancellation swamped a
+    permanent below the rounding of the larger terms."""
+    value = coeffs.perm_float(a)
+    if np.any(value < 0) and a.min() >= 0:
+        raise NumericalError(
+            f"inclusion-exclusion gave {np.min(value):g} for a non-negative matrix; "
+            "its permanent is below the rounding error"
+        )
+    return value
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -281,16 +246,25 @@ def perm_sinkhorn_scaled(
 # -- degree-M refinements --------------------------------------------------
 
 
-def _lifted_matrix(theta, blocks, M):
+def _lifted_matrices(theta, blocks):
+    """Liftings of theta, [B, nM, nM], one per stack entry of block
+    permutations blocks[b, i*n + j] (the permutation of block (i, j))."""
     n = theta.shape[0]
-    out = np.zeros((n * M, n * M))
-    for i in range(n):
-        for j in range(n):
-            sigma = blocks[i * n + j]
-            block = np.zeros((M, M))
-            block[np.arange(M), sigma] = 1.0
-            out[i * M : (i + 1) * M, j * M : (j + 1) * M] = theta[i, j] * block
-    return out
+    B, _, M = blocks.shape
+    onehot = blocks.reshape(B, n, n, M, 1) == np.arange(M)  # [b, i, j, row, col]
+    lifted = theta[:, :, None, None] * onehot
+    return lifted.transpose(0, 1, 3, 2, 4).reshape(B, n * M, n * M)
+
+
+def _mth_root(power, M):
+    """The M-th root of an average lifted permanent. check_matrix gives
+    every lifting a positive permutation, so power <= 0 is rounding noise."""
+    if not power > 0:
+        raise NumericalError(
+            f"lifted permanent average {power:g} is not positive; "
+            "the permanent is below the rounding error"
+        )
+    return power ** (1.0 / M)
 
 
 def _coeff_sum(theta, M, coefficient):
@@ -340,32 +314,48 @@ def perm_bethe_degree_m(
             value=power ** (1.0 / M), method="degree-m-bethe-coeff", aux={"power": power}
         )
     if mode == "lift":
-        count = math.factorial(M) ** (n * n)
+        mfact = math.factorial(M)
+        count = mfact ** (n * n)
         if count > lift_budget:
             raise ResourceError(
                 f"{count} liftings exceed the budget {lift_budget}; "
                 "use coeff or mc mode"
             )
-        perms = list(itertools.permutations(range(M)))
+        # lifting k assigns block p the permutation with index digit p of
+        # k in base M!, block 0 most significant: itertools.product order
+        table = np.array(list(itertools.permutations(range(M))))
+        place = mfact ** np.arange(n * n - 1, -1, -1)
         total = 0.0
-        for blocks in itertools.product(perms, repeat=n * n):
-            total += perm_exact(_lifted_matrix(theta, blocks, M))
-        power = total / count
+        for start in range(0, count, LIFT_CHUNK):
+            k = np.arange(start, min(start + LIFT_CHUNK, count))
+            blocks = table[k[:, None] // place % mfact]
+            total += _ryser(_lifted_matrices(theta, blocks)).sum()
+        power = float(total / count)
         return PermResult(
-            value=power ** (1.0 / M),
+            value=_mth_root(power, M),
             method="degree-m-bethe-lift",
             aux={"power": power, "liftings": count},
         )
     if mode == "mc":
+        if samples < 1:
+            raise ValidationError("samples must be >= 1")
         rng = seeded_rng(seed, 0)
-        values = np.empty(samples)
-        for s in range(samples):
-            blocks = [tuple(int(x) for x in rng.permutation(M)) for _ in range(n * n)]
-            values[s] = perm_exact(_lifted_matrix(theta, blocks, M))
-        power = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else None
+        count, power, m2 = 0, 0.0, 0.0
+        for start in range(0, samples, LIFT_CHUNK):
+            k = min(LIFT_CHUNK, samples - start)
+            draws = [rng.permutation(M) for _ in range(k * n * n)]
+            values = _ryser(_lifted_matrices(theta, np.reshape(draws, (k, n * n, M))))
+            # merge the chunk's mean and squared deviations into the running
+            # ones (Chan, Golub & LeVeque), so memory does not grow with samples
+            mean = values.mean()
+            delta = mean - power
+            m2 += ((values - mean) ** 2).sum() + delta**2 * count * k / (count + k)
+            count += k
+            power += delta * k / count
+        power = float(power)
+        stderr = float(math.sqrt(m2 / (count - 1) / count)) if samples > 1 else None
         return PermResult(
-            value=max(power, 0.0) ** (1.0 / M),
+            value=_mth_root(power, M),
             method="degree-m-bethe-mc",
             aux={"power": power, "stderr": stderr, "samples": samples},
         )
@@ -402,7 +392,7 @@ def perm_sinkhorn_degree_m(
                 f"Kronecker value {power:g} disagrees with coefficient sum {other:g}"
             )
     return PermResult(
-        value=max(power, 0.0) ** (1.0 / M), method="degree-m-scaled-sinkhorn", aux=aux
+        value=_mth_root(power, M), method="degree-m-scaled-sinkhorn", aux=aux
     )
 
 

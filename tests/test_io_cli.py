@@ -249,6 +249,21 @@ class TestCli:
         code = main(["perm", "--matrix", str(mat), "--method", "exact"])
         assert code == 3
 
+    def test_numerical_exit_code(self, tmp_path):
+        # the lifted permanent, 1.25e-25, is below the rounding of the
+        # inclusion-exclusion terms and comes out negative
+        mat = tmp_path / "tiny.csv"
+        mat.write_text("0.0001,1,1\n0,0.0001,1\n0,0,0.0001\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe.cli", "perm", "--matrix", str(mat),
+             "--method", "scs-degree-m", "--M", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_graph_random_validates(self, tmp_path):
         out = self.run("graph-random", "--kind", "denfg", "--seed", "3")
         g = parse_graph_json(out)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe.errors import ResourceError, ValidationError
+from bethe.coeffs import perm_float
+from bethe.errors import NumericalError, ResourceError, ValidationError
 from bethe.nfg import partition_function_exact
 from bethe.perm import (
     build_perm_nfg,
@@ -19,8 +20,6 @@ from bethe.perm import (
     perm_sinkhorn_degree_m,
     perm_sinkhorn_scaled,
     sinkhorn_scale,
-    _perm_ryser_blocked,
-    _perm_ryser_gray,
 )
 from bethe.rng import seeded_rng
 
@@ -38,22 +37,29 @@ class TestExact:
 
     def test_matches_naive(self):
         rng = seeded_rng(1, 0)
-        for n in range(2, 8):
+        for n in range(2, 9):
             a = rng.uniform(size=(n, n))
             assert perm_exact(a) == pytest.approx(perm_naive(a), rel=1e-12)
 
-    def test_blocked_matches_gray(self):
-        rng = seeded_rng(2, 0)
-        a = rng.uniform(size=(8, 8))
-        assert _perm_ryser_blocked(a) == pytest.approx(
-            _perm_ryser_gray(a), rel=1e-12
-        )
-        # inclusion-exclusion cancellation grows with n; the two paths
-        # agree to the cancellation floor, not machine epsilon
-        b = rng.uniform(size=(12, 12))
-        assert _perm_ryser_blocked(b) == pytest.approx(
-            _perm_ryser_gray(b), rel=1e-9
-        )
+    def test_all_ones_factorial(self):
+        # the inclusion-exclusion terms reach n^n against a sum of n!, so
+        # cancellation loses digits as n grows
+        for n in range(1, 21):
+            assert perm_exact(np.ones((n, n))) == pytest.approx(
+                math.factorial(n), rel=1e-6
+            )
+
+    def test_batch_bit_identical_to_single_calls(self):
+        stack = seeded_rng(2, 0).uniform(size=(300, 7, 7))
+        values = perm_float(stack)
+        assert values.shape == (300,)
+        assert [float(v) for v in values] == [perm_float(a) for a in stack]
+        assert list(perm_float(stack[5:8])) == list(values[5:8])
+
+    def test_negative_sum_of_nonnegative_matrix_raises(self):
+        # true permanent 1e-25, far below the rounding of terms of size 1
+        with pytest.raises(NumericalError):
+            perm_exact(np.triu(np.ones((5, 5)), 1) + 1e-5 * np.eye(5))
 
     def test_cap(self):
         with pytest.raises(ResourceError):
@@ -234,6 +240,30 @@ class TestDegreeM:
         exact = perm_bethe_degree_m(theta, 2, "lift")
         mc = perm_bethe_degree_m(theta, 2, "mc", samples=4000, seed=5)
         assert abs(mc.aux["power"] - exact.aux["power"]) <= 3 * mc.aux["stderr"]
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize(
+        "n, M", [(n, M) for n in (3, 4, 5) for M in (2, 3, 4)]  # nM <= RYSER_CAP
+    )
+    def test_tiny_permanent_raises_or_stays_positive(self, n, M, eps):
+        # perm = eps^n, so the lifted permanents sit below the rounding
+        # of the inclusion-exclusion terms; no result may be clamped to 0
+        theta = np.triu(np.ones((n, n)), 1) + eps * np.eye(n)
+        calls = [lambda: perm_sinkhorn_degree_m(theta, M)]
+        if n * M <= 6:
+            calls.append(lambda: perm_bethe_degree_m(theta, M, "lift"))
+        if n * M <= 8:
+            calls.append(lambda: perm_bethe_degree_m(theta, M, "mc", samples=64))
+        for call in calls:
+            try:
+                value = call().value
+            except NumericalError:
+                continue
+            assert value > 0
+
+    def test_mc_needs_a_sample(self):
+        with pytest.raises(ValidationError):
+            perm_bethe_degree_m(np.ones((2, 2)), 2, "mc", samples=0)
 
     def test_lift_budget(self):
         with pytest.raises(ResourceError):
