@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResourceError
+from .errors import NumericalError, ResourceError, ValidationError
 from .nfg import (
     EdgeDecl,
     LocalFunction,
@@ -167,7 +167,9 @@ def _finalize(g, M, zs, method):
         mean = float(np.real(mean))
     else:
         mean = float(mean)
-    value = max(mean, 0.0) ** (1.0 / M)
+    if mean < 0:
+        raise NumericalError(f"cover average {mean:g} is negative")
+    value = mean ** (1.0 / M)
     return DegreeMEstimate(
         M=M,
         value=value,
@@ -200,7 +202,7 @@ def degree_m_bethe(
     budget, falling back to Monte Carlo.
     """
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValidationError("M must be >= 1")
     mfact = math.factorial(M)
     n_edges = g.num_edges
     free_gauge = n_edges - len(spanning_forest(g))
@@ -249,6 +251,8 @@ def degree_m_bethe(
         return _finalize(g, M, zs, "gauge-fixed-enumeration")
 
     if mode == "mc":
+        if samples < 1:
+            raise ValidationError("samples must be >= 1")
         specs = []
         for start in range(0, samples, CHUNK):
             rng = seeded_rng(seed, start // CHUNK)

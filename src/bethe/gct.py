@@ -6,6 +6,9 @@ by restarted sum-product runs against the product over nodes of the
 absolute mass of the loop-calculus-transformed factors; when it holds,
 the degree-M Bethe partition function converges to the pseudo-dual
 value, and the experiment tracks the empirical approach for M up to 4.
+Every degree-M value is exact (the type-aggregated network of
+`sst.zbm_via_pe`); cover sampling is only the fallback for inputs whose
+aggregated tables exceed the budget.
 
 The best-fixed-point step is a restart heuristic; a run that misses the
 maximizing fixed point biases the recorded target, which is a known
@@ -20,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covers import degree_m_bethe
-from .errors import BetheError, DegenerateFixedPointError
+from .errors import BetheError, DegenerateFixedPointError, ResourceError
 from .lct import lct_transform
 from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph
 from .rng import seeded_rng
 from .spa import best_fixed_point
+from .sst import zbm_via_pe
 
 __all__ = [
     "TOPOLOGIES",
@@ -222,12 +226,12 @@ def convergence_experiment(
     alphabet: int = 2,
     restarts: int = 16,
     mc_samples: int = 600,
-    exact_budget: int = 10**5,
-    mc_threshold: int = 4,
 ) -> list[GctRecord]:
     """Per random graph: the condition record plus the degree-M series
-    for M = 1..M_max (enumeration below `mc_threshold`, Monte Carlo from
-    there on). Per-graph failures are recorded and the run continues."""
+    for M = 1..M_max, exact from the type-aggregated network. A degree
+    whose aggregated tables exceed the budget falls back to Monte Carlo
+    over `mc_samples` random covers and records its standard error.
+    Per-graph failures are recorded and the run continues."""
     records = []
     for idx in range(n_graphs):
         graph_seed = seed + idx
@@ -235,19 +239,17 @@ def convergence_experiment(
         record = check_condition(g, seed=graph_seed, restarts=restarts)
         try:
             for M in range(1, M_max + 1):
-                mode = "gauge" if M < mc_threshold else "mc"
-                est = degree_m_bethe(
-                    g,
-                    M,
-                    mode,
-                    seed=graph_seed * 1000 + M,
-                    samples=mc_samples,
-                    exact_budget=exact_budget,
-                )
-                record.series.append((M, est.value, est.stderr))
+                try:
+                    value, stderr = zbm_via_pe(g, M), None
+                except ResourceError:
+                    est = degree_m_bethe(
+                        g, M, "mc", seed=graph_seed * 1000 + M, samples=mc_samples
+                    )
+                    value, stderr = est.value, est.stderr
+                record.series.append((M, value, stderr))
                 if record.z_star:
                     record.relative_errors.append(
-                        (M, (est.value - record.z_star) / record.z_star)
+                        (M, (value - record.z_star) / record.z_star)
                     )
         except BetheError as exc:
             record.error = str(exc)

@@ -305,7 +305,7 @@ def perm_bethe_degree_m(
     theta = check_matrix(theta)
     n = theta.shape[0]
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValidationError("M must be >= 1")
     if mode == "auto":
         mode = "coeff"
     if mode == "coeff":
@@ -374,7 +374,7 @@ def perm_sinkhorn_degree_m(
     theta = check_matrix(theta)
     n = theta.shape[0]
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValidationError("M must be >= 1")
     if n * M > RYSER_CAP:
         raise ResourceError(f"lifted size {n * M} exceeds the cap {RYSER_CAP}")
     u = np.full((M, M), 1.0 / M)

@@ -4,9 +4,11 @@ The average over all M-covers factorizes edge-by-edge through the
 permutation-average operator P_e, which is block-constant on type
 classes: P_e(u, v) = 1/|class| when u and v share a symbol composition,
 else 0. Contracting the type-aggregated network gives the M-th power of
-the degree-M Bethe partition function exactly; replacing P_e by its
-integral representation over uniformly random complex unit vectors
-gives an unbiased Monte Carlo estimator of the same quantity.
+the degree-M Bethe partition function exactly; its node tables are
+built one cover copy at a time (method of types), never as M-fold lifts.
+Replacing P_e by its integral representation over uniformly random
+complex unit vectors gives an unbiased Monte Carlo estimator of the
+same quantity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contraction import contract_network
-from .errors import NumericalError, ResourceError
+from .errors import NumericalError, ResourceError, ValidationError
 from .nfg import NormalFactorGraph
 from .rng import seeded_rng
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 PE_DENSE_CAP = 64  # largest d^M for which P_e may be materialized densely
+PE_IMAG_TOL = 1e-9
 MC_CHUNK = 1 << 14
 
 
@@ -88,27 +91,22 @@ def pe_value(u, v) -> Fraction:
     return Fraction(1, type_class_size(tu))
 
 
-def _type_index(d, M):
-    """All types of length-M sequences over range(d), lexicographic, with
-    their index; plus the per-sequence aggregation matrix Q (d^M rows,
-    one column per type) and the class sizes."""
-    types: list[tuple[int, ...]] = []
+def _type_steps(d: int, M: int):
+    """Types of length-M sequences over range(d), grown one copy at a time.
 
-    def rec(prefix, left, slots):
-        if slots == 1:
-            types.append(tuple(prefix) + (left,))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v, slots - 1)
-
-    rec([], M, d)
-    types.sort()
-    index = {t: k for k, t in enumerate(types)}
-    q = np.zeros((d**M, len(types)))
-    for flat, seq in enumerate(itertools.product(range(d), repeat=M)):
-        q[flat, index[type_of(seq, d)]] = 1.0
-    sizes = np.array([type_class_size(t) for t in types], dtype=float)
-    return types, q, sizes
+    Returns the class sizes of the level-M types and, for each level
+    m < M, the successor table [num_types(d, m), d] whose entry (k, s)
+    is the index at level m + 1 of type k with one more copy of symbol s.
+    Every level lists its types in lexicographic order."""
+    level = [(0,) * d]
+    steps = []
+    for _ in range(M):
+        grown = [[t[:s] + (t[s] + 1,) + t[s + 1 :] for s in range(d)] for t in level]
+        level = sorted({t for row in grown for t in row})
+        index = {t: k for k, t in enumerate(level)}
+        steps.append(np.array([[index[t] for t in row] for row in grown], dtype=np.intp))
+    sizes = np.array([type_class_size(t) for t in level], dtype=float)
+    return sizes, steps
 
 
 def pe_matrix(d: int, M: int) -> np.ndarray:
@@ -117,95 +115,88 @@ def pe_matrix(d: int, M: int) -> np.ndarray:
         raise ResourceError(
             f"d^M = {d ** M} exceeds the dense materialization cap {PE_DENSE_CAP}"
         )
-    _, q, sizes = _type_index(d, M)
-    return q @ np.diag(1.0 / sizes) @ q.T
+    sizes, steps = _type_steps(d, M)
+    # type index of every sequence, in itertools.product order
+    idx = np.zeros(1, dtype=np.intp)
+    for step in steps:
+        idx = step[idx].reshape(-1)
+    return (idx[:, None] == idx) / sizes[idx][:, None]
 
 
 # -- exact degree-M value via the type aggregation ---------------------------
 
 
-def _lifted_node_tensor(table, M):
-    """M-fold product table: axes grouped per edge, each of size card^M."""
-    k = table.ndim
-    if k == 0:
-        return table ** M
-    args = []
+def _aggregated_node_table(table, steps, M):
+    """Sum of the M-fold product table over each combination of per-edge
+    types, built copy by copy: A_0 = 1 and
+    A_{m+1}[t] = sum_s table[s] * A_m[t - e_s].
+
+    For a fixed configuration s the map t -> t + e_s is injective on every
+    axis, so each scatter-add touches distinct entries; configurations are
+    added in row-major order."""
+    support = [(tuple(s), table[tuple(s)]) for s in np.argwhere(table)]
+    acc = np.ones((1,) * table.ndim, dtype=table.dtype)
     for m in range(M):
-        args.append(table)
-        args.append(list(range(m * k, (m + 1) * k)))
-    args.append(list(range(M * k)))
-    big = np.einsum(*args, optimize=True)
-    # order axes edge-major: (edge 0 copies, edge 1 copies, ...)
-    perm = [m * k + a for a in range(k) for m in range(M)]
-    big = big.transpose(perm)
-    return big.reshape([table.shape[a] ** M for a in range(k)])
+        nxt = np.zeros([num_types(c, m + 1) for c in table.shape], dtype=table.dtype)
+        for s, value in support:
+            nxt[np.ix_(*(st[m][:, x] for st, x in zip(steps, s)))] += value * acc
+        acc = nxt
+    return acc
 
 
 def zbm_via_pe(
-    g: NormalFactorGraph,
-    M: int,
-    *,
-    max_table_entries: int = 2**24,
-    imag_tol: float = 1e-9,
+    g: NormalFactorGraph, M: int, *, max_table_entries: int = 2**24
 ) -> float:
     """Degree-M Bethe partition function from the type-aggregated
     average-cover network (exact; no cover enumeration).
 
-    Each node's M-fold product table is contracted per edge against the
-    type-membership aggregation, each edge contributes an inverse class
-    size, and the resulting network (same topology as `g`, one type
-    variable per edge) is eliminated exactly.
+    Each node's table is aggregated to one type variable per incident
+    edge (see `_aggregated_node_table`), each edge contributes its
+    inverse class sizes, and the resulting network (same topology as
+    `g`) is eliminated exactly. Every aggregated table is checked against
+    `max_table_entries` before any is built.
     """
     if M < 1:
-        raise ValueError("M must be >= 1")
-    dtype = float if g.is_classical else complex
-    cards = {}
-    aggregators = {}
-    weights = {}
-    for pos in range(g.num_edges):
-        card = g.var_card(pos)
-        if card**M > PE_DENSE_CAP * PE_DENSE_CAP:
+        raise ValidationError("M must be >= 1")
+    cards = {pos: num_types(g.var_card(pos), M) for pos in range(g.num_edges)}
+    scopes = [g.incident(node) for node in range(g.num_nodes)]
+    for node, inc in enumerate(scopes):
+        size = math.prod(cards[pos] for pos in inc)
+        if size > max_table_entries:
             raise ResourceError(
-                f"edge {g.edges[pos].id}: {card ** M} lifted symbols exceed "
-                "the budget; use Monte Carlo"
-            )
-        types, q, sizes = _type_index(card, M)
-        cards[pos] = len(types)
-        aggregators[pos] = q
-        weights[pos] = 1.0 / sizes
-    scopes = []
-    tensors = []
-    for node in range(g.num_nodes):
-        inc = g.incident(node)
-        lifted_size = math.prod(g.var_card(p) ** M for p in inc)
-        if lifted_size > max_table_entries:
-            raise ResourceError(
-                f"node {node}: lifted table with {lifted_size} entries "
+                f"node {node}: type-aggregated table with {size} entries "
                 f"exceeds the budget {max_table_entries}"
             )
-        lifted = _lifted_node_tensor(g.factors[node].as_dense(dtype), M)
-        for axis, pos in enumerate(inc):
-            lifted = np.moveaxis(
-                np.tensordot(lifted, aggregators[pos], axes=([axis], [0])), -1, axis
-            )
-        scopes.append(inc)
-        tensors.append(lifted)
+    type_tables = {c: _type_steps(c, M) for c in set(g.var_cards())}
+    dtype = float if g.is_classical else complex
+    tensors = [
+        _aggregated_node_table(
+            g.factors[node].as_dense(dtype),
+            [type_tables[g.var_card(pos)][1] for pos in inc],
+            M,
+        )
+        for node, inc in enumerate(scopes)
+    ]
     # attach each edge's inverse class sizes at its lower endpoint
     for pos, e in enumerate(g.edges):
         node = e.endpoints[0]
-        axis = g.incident(node).index(pos)
+        axis = scopes[node].index(pos)
         shape = [1] * tensors[node].ndim
         shape[axis] = cards[pos]
-        tensors[node] = tensors[node] * weights[pos].reshape(shape)
+        sizes, _ = type_tables[g.var_card(pos)]
+        tensors[node] = tensors[node] * (1.0 / sizes).reshape(shape)
     power = contract_network(scopes, tensors, cards, max_table_entries=max_table_entries)
     if not g.is_classical:
         power = complex(power)
-        if abs(power.imag) > imag_tol * (1.0 + abs(power)):
+        if abs(power.imag) > PE_IMAG_TOL * (1.0 + abs(power)):
             raise NumericalError(
                 f"degree-M average has imaginary part {power.imag:g}"
             )
         power = power.real
-    return max(float(power), 0.0) ** (1.0 / M)
+    power = float(power)
+    if power < 0:
+        raise NumericalError(f"degree-M average {power:g} is negative")
+    return power ** (1.0 / M)
 
 
 # -- Fubini-Study sampling and the Monte Carlo estimators --------------------
@@ -320,9 +311,9 @@ def zbm_via_sst_mc(
     average is reported as a sanity statistic. `symmetrize` averages each
     draw with its conjugate (see phi_integral_mc)."""
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValidationError("M must be >= 1")
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ValidationError("need at least one sample")
     prefactor = 1.0
     for pos in range(g.num_edges):
         prefactor *= num_types(g.var_card(pos), M)

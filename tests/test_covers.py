@@ -8,7 +8,7 @@ from bethe.covers import (
     degree_m_series,
     spanning_forest,
 )
-from bethe.errors import ResourceError
+from bethe.errors import ResourceError, ValidationError
 from bethe.gct import random_denfg, random_snfg
 from bethe.nfg import partition_function_exact
 from bethe.rng import seeded_rng
@@ -148,6 +148,13 @@ class TestDegreeM:
         assert "gauge or mc" in str(err.value)
         with pytest.raises(ResourceError):
             degree_m_bethe(g, 5, "gauge", exact_budget=100)
+
+    def test_bad_degree_or_sample_count_rejected(self):
+        g = random_snfg("tree3", seed=0)
+        with pytest.raises(ValidationError):
+            degree_m_bethe(g, 0, "exact")
+        with pytest.raises(ValidationError):
+            degree_m_bethe(g, 2, "mc", samples=0)
 
     def test_disconnected_product_rule(self):
         from bethe.nfg import EdgeDecl, LocalFunction, NormalFactorGraph

@@ -175,6 +175,31 @@ class TestExperiment:
             assert M == 1
             assert value == pytest.approx(z, rel=1e-8)
 
+    def test_exact_series_matches_gauge_covers(self):
+        # cover enumeration is independent of the type aggregation
+        records = convergence_experiment(
+            n_graphs=3, topology="fig1", M_max=3, seed=40, restarts=2
+        )
+        for rec in records:
+            assert rec.error is None
+            g = random_denfg("fig1", seed=rec.seed)
+            for M, value, stderr in rec.series[1:]:
+                assert stderr is None
+                gauge = degree_m_bethe(g, M, "gauge").value
+                assert value == pytest.approx(gauge, rel=1e-10)
+
+    def test_monte_carlo_fallback_past_the_budget(self):
+        # alphabet 5: a degree-3 node's M=2 aggregated table has 325^3
+        # entries, past the 2^24 budget, so M=2 samples covers instead
+        (rec,) = convergence_experiment(
+            n_graphs=1, topology="fig1", M_max=2, seed=3, alphabet=5,
+            restarts=2, mc_samples=8,
+        )
+        assert rec.error is None
+        (_, _, exact_stderr), (_, value, stderr) = rec.series
+        assert exact_stderr is None
+        assert stderr is not None and stderr > 0 and value > 0
+
     def test_failures_recorded_not_raised(self):
         records = convergence_experiment(
             n_graphs=2, topology="fig1", M_max=1, seed=2, mc_samples=10

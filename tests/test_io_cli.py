@@ -264,6 +264,25 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["perm", "sst"])
+    def test_degree_zero_exit_code(self, tmp_path, command):
+        if command == "perm":
+            path = tmp_path / "m.csv"
+            path.write_text("1,2\n3,4\n")
+            argv = ["perm", "--matrix", str(path), "--method", "degree-m"]
+        else:
+            path = tmp_path / "g.json"
+            path.write_text(MINIMAL_SNFG)
+            argv = ["sst", "--graph", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe.cli", *argv, "--M", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_graph_random_validates(self, tmp_path):
         out = self.run("graph-random", "--kind", "denfg", "--seed", "3")
         g = parse_graph_json(out)

@@ -265,6 +265,12 @@ class TestDegreeM:
         with pytest.raises(ValidationError):
             perm_bethe_degree_m(np.ones((2, 2)), 2, "mc", samples=0)
 
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValidationError):
+            perm_bethe_degree_m(np.ones((2, 2)), 0)
+        with pytest.raises(ValidationError):
+            perm_sinkhorn_degree_m(np.ones((2, 2)), 0)
+
     def test_lift_budget(self):
         with pytest.raises(ResourceError):
             perm_bethe_degree_m(np.ones((3, 3)), 3, "lift")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bethe.covers import degree_m_bethe
-from bethe.errors import ResourceError
+from bethe import sst
+from bethe.errors import NumericalError, ResourceError, ValidationError
 from bethe.gct import random_denfg, random_snfg
 from bethe.nfg import partition_function_exact
 from bethe.perm import build_perm_nfg, perm_bethe_degree_m
@@ -113,6 +114,62 @@ class TestZbmViaPe:
         by_coeff = perm_bethe_degree_m(theta, 3, "coeff").value
         assert by_types == pytest.approx(by_lift, rel=1e-10)
         assert by_types == pytest.approx(by_coeff, rel=1e-10)
+
+
+    @pytest.mark.parametrize("kind", ["snfg", "denfg"])
+    def test_tree_equals_z_through_m8(self, kind):
+        # covers of a tree are disjoint copies, so Z_B,M = Z at every M
+        maker = random_snfg if kind == "snfg" else random_denfg
+        g = maker("tree3", seed=3)
+        z = abs(partition_function_exact(g))
+        for M in range(1, 9):
+            assert zbm_via_pe(g, M) == pytest.approx(z, rel=1e-10)
+
+    def test_theta_double_edge_m4_matches_gauge_covers(self):
+        g = random_denfg("theta", seed=2)
+        est = degree_m_bethe(g, 4, "gauge")
+        assert est.covers_evaluated == 576
+        assert zbm_via_pe(g, 4) == pytest.approx(est.value, rel=1e-10)
+
+    def test_fig1_double_edge_m5(self):
+        # the lifted tables of this input would have 4^15 entries per node
+        g = random_denfg("fig1", seed=160)
+        value = zbm_via_pe(g, 5)
+        assert 0 < value < math.inf
+        assert zbm_via_pe(g, 5) == value
+
+    def test_budget_checked_before_any_table_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("aggregated table built before the budget check")
+
+        monkeypatch.setattr(sst, "_aggregated_node_table", refuse)
+        g = random_snfg("tree3", seed=0)  # only node 1 has two edges
+        with pytest.raises(ResourceError, match="node 1: .* 25 entries"):
+            zbm_via_pe(g, 4, max_table_entries=10)
+
+    def test_negative_average_raises(self):
+        # weak-sense double edge: Hermitian but not PSD, Re Z = -1
+        g = two_node_graph([1.0, 0.0, 0.0, -2.0], [1.0, 0.0, 0.0, 1.0], kind="denfg")
+        assert partition_function_exact(g, check_strict=False) == -1
+        for M in (1, 3):
+            with pytest.raises(NumericalError, match="negative"):
+                zbm_via_pe(g, M)
+            with pytest.raises(NumericalError, match="negative"):
+                degree_m_bethe(g, M, "exact")
+
+    def test_zero_average_is_valid(self):
+        g = two_node_graph([1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0], kind="denfg")
+        assert zbm_via_pe(g, 1) == 0.0
+        assert degree_m_bethe(g, 1, "exact").value == 0.0
+
+    def test_degree_below_one_rejected(self):
+        g = two_node_graph([1.0, 2.0], [3.0, 1.0])
+        with pytest.raises(ValidationError):
+            zbm_via_pe(g, 0)
+        with pytest.raises(ValidationError):
+            zbm_via_sst_mc(g, 0, samples=10, seed=0)
+        with pytest.raises(ValidationError):
+            zbm_via_sst_mc(g, 2, samples=0, seed=0)
 
 
 class TestFubiniStudy:
