@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, coeffs, covers, gct, graphio, lct, perm, sst
-from .errors import BetheError, ValidationError
+from .errors import BetheError, NumericalError, ValidationError
 from .nfg import partition_function_exact, validate_graph
 from .spa import best_fixed_point, spa_run
 
@@ -209,6 +209,8 @@ def cmd_sst(args):
         payload = {"method": "pe", "M": args.M, "zbm": value}
     else:
         est = sst.zbm_via_sst_mc(g, args.M, args.samples, args.seed)
+        if est.mean < 0:
+            raise NumericalError(f"degree-M average estimate {est.mean:g} is negative")
         payload = {
             "method": "mc",
             "M": args.M,
@@ -216,7 +218,7 @@ def cmd_sst(args):
             "stderr": est.stderr,
             "imag_residual": est.imag_mean,
             "samples": est.samples,
-            "zbm": max(est.mean, 0.0) ** (1.0 / args.M),
+            "zbm": est.mean ** (1.0 / args.M),
         }
     _print_json(args, payload, int(1000 * (time.monotonic() - start)))
 

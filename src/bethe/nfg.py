@@ -71,10 +71,10 @@ class LocalFunction:
     Either a dense array or a sparse mapping {configuration: value} is
     stored; sparse is preferred automatically for large, mostly-zero
     tables (the permanent graph's row/column factors have n support
-    points out of 2^n).
+    points out of 2^n). Either way, `support()` gives the same arrays.
     """
 
-    __slots__ = ("node", "shape", "dense", "sparse")
+    __slots__ = ("node", "shape", "dense", "sparse", "_support")
 
     def __init__(self, node, shape, dense=None, sparse=None):
         self.node = node
@@ -105,6 +105,7 @@ class LocalFunction:
                     raise StructuralError(f"node {node}: bad sparse config {cfg}")
         self.dense = dense
         self.sparse = dict(sparse) if sparse is not None else None
+        self._support = None
 
     @property
     def is_sparse(self):
@@ -123,15 +124,21 @@ class LocalFunction:
             return self.dense[tuple(cfg)]
         return self.sparse.get(tuple(cfg), 0.0)
 
-    def support_items(self):
-        """Iterate (configuration, value) over the non-zero support."""
-        if self.sparse is not None:
-            return self.sparse.items()
-        dense = self.dense
-        return (
-            (cfg, dense[cfg])
-            for cfg in zip(*np.nonzero(dense))
-        )
+    def support(self):
+        """Non-zero support as (configs [S, k] intp, values [S]), in
+        row-major configuration order whichever storage holds the table.
+        Computed on first use and kept on the factor."""
+        if self._support is None:
+            if self.sparse is not None:
+                items = sorted((c, v) for c, v in self.sparse.items() if v != 0)
+                configs = np.array([cfg for cfg, _ in items], dtype=np.intp)
+                configs = configs.reshape(len(items), len(self.shape))
+                values = np.array([val for _, val in items])
+            else:
+                configs = np.argwhere(self.dense)
+                values = self.dense[self.dense != 0]
+            self._support = (configs, values)
+        return self._support
 
 
 @dataclass

@@ -130,20 +130,15 @@ def build_perm_nfg(theta) -> NormalFactorGraph:
         for j in range(n)
     ]
     factors = []
-    for i in range(n):
-        support = {}
-        for j in range(n):
-            if theta[i, j] > 0:
-                cfg = tuple(1 if k == j else 0 for k in range(n))
-                support[cfg] = math.sqrt(theta[i, j])
-        factors.append(LocalFunction(node=i, shape=(2,) * n, sparse=support))
-    for j in range(n):
-        support = {}
-        for i in range(n):
-            if theta[i, j] > 0:
-                cfg = tuple(1 if k == i else 0 for k in range(n))
-                support[cfg] = math.sqrt(theta[i, j])
-        factors.append(LocalFunction(node=n + j, shape=(2,) * n, sparse=support))
+    # rows are nodes 0..n-1, columns n..2n-1; each node's edges run in the
+    # order of the other side's index
+    for node, cells in enumerate(np.vstack([theta, theta.T])):
+        support = {
+            tuple(int(k == m) for k in range(n)): math.sqrt(x)
+            for m, x in enumerate(cells)
+            if x > 0
+        }
+        factors.append(LocalFunction(node=node, shape=(2,) * n, sparse=support))
     return NormalFactorGraph(kind="snfg", num_nodes=2 * n, edges=edges, factors=factors)
 
 
@@ -162,8 +157,9 @@ def perm_bethe(
     Runs the SPA on the permanent graph, reads the doubly stochastic
     matrix off the edge beliefs, and evaluates exp(-F) with the Bethe
     free energy of that matrix. The result is cross-checked against the
-    pseudo-dual value at the same fixed point. Damping defaults to zero:
-    the update converges on this graph family without it.
+    pseudo-dual value at the same fixed point. Damping defaults to
+    `spa.DAMPING_CYCLIC` for n >= 2, where the graph has cycles. No 2^n
+    row or column belief table is built.
     """
     theta = check_matrix(theta)
     n = theta.shape[0]
@@ -176,10 +172,8 @@ def perm_bethe(
             f"SPA did not converge (residual {report.residual:g})",
             residual=report.residual,
         )
-    b = spa.beliefs(g, mu)
-    gamma = np.array(
-        [[b.edge_beliefs[i * n + j][1] for j in range(n)] for i in range(n)]
-    )
+    edge_b = spa.edge_beliefs(g, mu)
+    gamma = np.array([[edge_b[i * n + j][1] for j in range(n)] for i in range(n)])
     # cells outside the support carry exactly zero belief at the fixed
     # point; damping leaves a vanishing residue there, which we drop
     gamma = np.where(theta > 0, np.clip(gamma, 0.0, 1.0), 0.0)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["seeded_rng"]
 
 
@@ -20,7 +22,7 @@ def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Philox keys are 128-bit; seed and stream each occupy one 64-bit word.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative 64-bit integer")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed {seed} must be a non-negative 64-bit integer")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

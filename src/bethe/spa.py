@@ -3,16 +3,21 @@ Bethe partition function.
 
 Messages are indexed by (edge position, receiving node); the message
 into node v along edge e is computed at the opposite endpoint from the
-messages into that endpoint. The flooding schedule updates every
-message from the previous iterate, then normalizes each message by its
-sum (classical: a probability vector; double-edge: complex entries over
-symbol pairs summing to one). If any normalizer vanishes, all messages
-are re-randomized from the run's seeded generator and iteration
-continues.
+messages into that endpoint. Every factor is read through its non-zero
+support (`LocalFunction.support()`), whichever storage holds it: each
+support point adds its value times the other incoming messages' entries,
+a leave-one-out product taken as an exclusive prefix product times an
+exclusive suffix product, so no message entry is ever divided out. The
+flooding schedule updates every message from the previous iterate, then
+normalizes each message by its sum (classical: a probability vector;
+double-edge: complex entries over symbol pairs summing to one). If any
+normalizer vanishes, all messages are re-randomized from the run's
+seeded generator and iteration continues.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,7 @@ from .errors import (
     ConvergenceError,
     DegenerateFixedPointError,
     NumericalError,
+    ValidationError,
 )
 from .nfg import NormalFactorGraph
 from .rng import seeded_rng
@@ -35,6 +41,7 @@ __all__ = [
     "spa_step",
     "pseudo_dual_bethe",
     "beliefs",
+    "edge_beliefs",
     "bethe_free_energy",
     "best_fixed_point",
 ]
@@ -105,43 +112,34 @@ def random_messages(g: NormalFactorGraph, rng) -> MessageVector:
     return out
 
 
-def _node_out_messages(g, node, mu):
-    """Unnormalized outgoing messages produced at `node`: for each
-    incident edge, sum the factor against the other incoming messages."""
-    inc = g.incident(node)
+def _gather(g, node, mu):
+    """(idx, offsets, values, W) for the factor at `node`: incident edge b
+    starts at offsets[b] in the concatenated incoming messages, and W[s, b]
+    is the entry at idx[s, b] = configs[s, b] + offsets[b]."""
     f = g.factors[node]
-    incoming = [mu[(p, node)] for p in inc]
-    k = len(inc)
-    out = {}
-    if not f.is_sparse:
-        t = f.as_dense(float if g.is_classical else complex)
-        for a, p in enumerate(inc):
-            args = [t, list(range(k))]
-            for b in range(k):
-                if b != a:
-                    args.extend([incoming[b], [b]])
-            args.append([a])
-            out[p] = np.einsum(*args, optimize=True)
-    else:
-        dtype = float if g.is_classical else complex
-        vecs = {p: np.zeros(g.var_card(p), dtype=dtype) for p in inc}
-        for cfg, val in f.support_items():
-            weights = [incoming[b][cfg[b]] for b in range(k)]
-            total = val
-            for w in weights:
-                total = total * w
-            for a, p in enumerate(inc):
-                w = weights[a]
-                if w != 0:
-                    vecs[p][cfg[a]] += total / w
-                else:
-                    rest = val
-                    for b in range(k):
-                        if b != a:
-                            rest = rest * weights[b]
-                    vecs[p][cfg[a]] += rest
-        out = vecs
-    return out
+    configs, values = f.support()
+    offsets = list(itertools.accumulate(f.shape, initial=0))
+    idx = configs + np.asarray(offsets[:-1], dtype=np.intp)
+    msgs = [mu[(p, node)] for p in g.incident(node)]
+    W = np.concatenate(msgs)[idx] if msgs else np.ones(idx.shape)
+    return idx, offsets, values, W
+
+
+def _node_out_messages(g, node, mu):
+    """Unnormalized messages out of `node`, concatenated in incident-edge
+    order, and the offsets where each edge's message starts: for each
+    incident edge, the factor summed against the other incoming messages."""
+    idx, offsets, values, W = _gather(g, node, mu)
+    pre = np.ones_like(W)
+    np.cumprod(W[:, :-1], axis=1, out=pre[:, 1:])
+    suf = np.ones_like(W)
+    np.cumprod(W[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    loo = (pre * suf * values[:, None]).ravel()
+    idx = idx.ravel()
+    flat = np.bincount(idx, weights=loo.real, minlength=offsets[-1])
+    if np.iscomplexobj(loo):
+        flat = flat + 1j * np.bincount(idx, weights=loo.imag, minlength=offsets[-1])
+    return flat, offsets
 
 
 def spa_step(g: NormalFactorGraph, mu: MessageVector):
@@ -151,16 +149,16 @@ def spa_step(g: NormalFactorGraph, mu: MessageVector):
     new: MessageVector = {}
     near_zero = 0
     for node in range(g.num_nodes):
-        produced = _node_out_messages(g, node, mu)
-        for p, vec in produced.items():
+        flat, offsets = _node_out_messages(g, node, mu)
+        kappa = np.add.reduceat(flat, offsets[:-1])
+        if not kappa.all():
+            return None, near_zero
+        scale = np.add.reduceat(np.abs(flat), offsets[:-1])
+        near_zero += int((np.abs(kappa) < NEAR_ZERO_SUM * scale).sum())
+        flat = flat / np.repeat(kappa, g.factors[node].shape)
+        for a, p in enumerate(g.incident(node)):
             i, j = g.edges[p].endpoints
-            receiver = j if node == i else i
-            kappa = vec.sum()
-            if kappa == 0:
-                return None, near_zero
-            if abs(kappa) < NEAR_ZERO_SUM * np.abs(vec).sum():
-                near_zero += 1
-            new[(p, receiver)] = vec / kappa
+            new[(p, j if node == i else i)] = flat[offsets[a] : offsets[a + 1]]
     return new, near_zero
 
 
@@ -189,7 +187,7 @@ def spa_run(
     if damping is None:
         damping = 0.0 if g.is_acyclic else DAMPING_CYCLIC
     if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must lie in [0, 1)")
+        raise ValidationError(f"damping {damping:g} must lie in [0, 1)")
     rng = seeded_rng(seed, rng_stream)
     mu = {k: np.array(v) for k, v in (init or uniform_messages(g)).items()}
     residual = float("inf")
@@ -247,15 +245,8 @@ def edge_normalizers(g: NormalFactorGraph, mu: MessageVector):
 def node_normalizers(g: NormalFactorGraph, mu: MessageVector):
     out = []
     for node in range(g.num_nodes):
-        inc = g.incident(node)
-        f = g.factors[node]
-        total = 0.0
-        for cfg, val in f.support_items():
-            w = val
-            for b, p in enumerate(inc):
-                w = w * mu[(p, node)][cfg[b]]
-            total += w
-        out.append(total)
+        _, _, values, W = _gather(g, node, mu)
+        out.append((values * W.prod(axis=1)).sum())
     return out
 
 
@@ -321,20 +312,22 @@ def beliefs(g: NormalFactorGraph, mu: MessageVector) -> Beliefs:
     """Normalized node and edge beliefs induced by `mu`."""
     dtype = float if g.is_classical else complex
     node_b = []
-    for node in range(g.num_nodes):
-        inc = g.incident(node)
-        t = g.factors[node].as_dense(dtype).copy()
-        k = len(inc)
-        args = [t, list(range(k))]
-        for b, p in enumerate(inc):
-            args.extend([mu[(p, node)], [b]])
-        args.append(list(range(k)))
-        table = np.einsum(*args, optimize=True) if k else t
+    for node, f in enumerate(g.factors):
+        _, _, values, W = _gather(g, node, mu)
+        table = np.zeros(f.shape, dtype)
+        flat = np.ravel_multi_index(tuple(f.support()[0].T), f.shape)
+        np.put(table, flat, values * W.prod(axis=1))
         kappa = table.sum()
         if abs(kappa) <= Z_ZERO_TOL:
             raise DegenerateFixedPointError(f"zero belief normalizer at node {node}")
         node_b.append(table / kappa)
-    edge_b = []
+    return Beliefs(node_beliefs=node_b, edge_beliefs=edge_beliefs(g, mu))
+
+
+def edge_beliefs(g: NormalFactorGraph, mu: MessageVector) -> list:
+    """Normalized edge beliefs induced by `mu`, in edge order. Unlike
+    `beliefs`, builds no node table."""
+    out = []
     for pos, e in enumerate(g.edges):
         i, j = e.endpoints
         vec = mu[(pos, i)] * mu[(pos, j)]
@@ -343,8 +336,8 @@ def beliefs(g: NormalFactorGraph, mu: MessageVector) -> Beliefs:
             raise DegenerateFixedPointError(
                 f"zero belief normalizer at edge {e.id}"
             )
-        edge_b.append(vec / kappa)
-    return Beliefs(node_beliefs=node_b, edge_beliefs=edge_b)
+        out.append(vec / kappa)
+    return out
 
 
 def edge_consistency_residual(g: NormalFactorGraph, b: Beliefs) -> float:
@@ -404,7 +397,7 @@ def best_fixed_point(
     recorded in the returned report.
     """
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ValidationError(f"restarts {restarts} must be >= 1")
     candidates = []
     best = None
     best_residual = float("inf")

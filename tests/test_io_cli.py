@@ -283,6 +283,44 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_sst_mc_negative_average_exit_code(self, tmp_path):
+        from conftest import two_node_graph
+
+        path = tmp_path / "g.json"
+        g = two_node_graph([1, 0, 0, -2], [1, 0, 0, 1], kind="denfg")
+        path.write_text(graph_to_json(g))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe.cli", "sst", "--graph", str(path),
+             "--method", "mc", "--M", "1", "--samples", "20000", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spa", "--damping", "1.5"],
+            ["spa", "--seed", "-1"],
+            ["lct", "--restarts", "0"],
+        ],
+        ids=["damping", "seed", "restarts"],
+    )
+    def test_bad_numeric_flag_exit_code(self, tmp_path, argv):
+        path = tmp_path / "g.json"
+        path.write_text(MINIMAL_SNFG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe.cli", argv[0], "--graph", str(path),
+             *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_graph_random_validates(self, tmp_path):
         out = self.run("graph-random", "--kind", "denfg", "--seed", "3")
         g = parse_graph_json(out)

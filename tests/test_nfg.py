@@ -209,5 +209,5 @@ class TestSparseStorage:
         g = build_perm_nfg(theta)
         f = g.factors[0]
         dense = f.as_dense(float)
-        for cfg, val in f.support_items():
+        for cfg, val in zip(*f.support()):
             assert dense[tuple(cfg)] == val

@@ -131,6 +131,12 @@ class TestBethe:
             ratio = perm_exact(theta) / res.value
             assert 1.0 - 1e-7 <= ratio <= 2 ** (n / 2) * (1 + 1e-7)
 
+    def test_all_ones_n26_closed_form(self):
+        # the 2^26-entry row/column tables are never built
+        n = 26
+        expected = n**n * ((n - 1) / n) ** (n * (n - 1))
+        assert perm_bethe(np.ones((n, n))).value == pytest.approx(expected, rel=1e-8)
+
     def test_gamma_doubly_stochastic(self):
         theta = seeded_rng(7, 0).uniform(size=(4, 4)) + 0.05
         res = perm_bethe(theta)

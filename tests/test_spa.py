@@ -241,6 +241,61 @@ class TestBeliefs:
         assert np.abs(gamma.sum(axis=1) - 1).max() < 1e-8
 
 
+class TestSupportKernel:
+    def test_tiny_entry_is_not_divided_out(self):
+        # every message into row node 0 is [2^-91, 1]: the product over all
+        # 13 edges (2^-1092) underflows, while each message out of node 0
+        # keeps 12 terms of 2^-1001 in entry 0 (entry 1 is 2^-1092 -> 0).
+        # Dividing the full product by the left-out entry loses them all.
+        from bethe.perm import build_perm_nfg
+
+        g = build_perm_nfg(np.ones((13, 13)))
+        mu = uniform_messages(g)
+        for p in g.incident(0):
+            mu[(p, 0)] = np.array([2.0**-91, 1.0])
+        new, _ = spa_step(g, mu)
+        assert new is not None
+        assert np.array_equal(new[(0, 13)], [1.0, 0.0])
+
+    def test_dense_and_sparse_storage_bit_identical(self):
+        from bethe.perm import build_perm_nfg
+        from bethe.rng import seeded_rng
+
+        sparse = build_perm_nfg(seeded_rng(31, 0).uniform(size=(12, 12)) + 0.05)
+        dense = NormalFactorGraph(
+            kind="snfg",
+            num_nodes=sparse.num_nodes,
+            edges=sparse.edges,
+            factors=[
+                LocalFunction(f.node, f.shape, dense=f.as_dense(float))
+                for f in sparse.factors
+            ],
+        )
+        assert all(f.is_sparse for f in sparse.factors)
+        assert not any(f.is_sparse for f in dense.factors)
+        mu_s, rep_s = spa_run(sparse, fp_tol=1e-12)
+        mu_d, rep_d = spa_run(dense, fp_tol=1e-12)
+        assert rep_s.converged
+        assert all(np.array_equal(mu_s[k], mu_d[k]) for k in mu_s)
+        assert rep_s == rep_d
+
+
+    def test_node_without_edges(self):
+        g = NormalFactorGraph(
+            kind="snfg",
+            num_nodes=3,
+            edges=[EdgeDecl(0, (0, 1), 2)],
+            factors=[
+                LocalFunction(0, (2,), dense=np.array([1.0, 2.0])),
+                LocalFunction(1, (2,), dense=np.array([3.0, 1.0])),
+                LocalFunction(2, (), dense=np.array(4.0)),
+            ],
+        )
+        mu, report = spa_run(g)
+        assert report.z_b_spa == pytest.approx(partition_function_exact(g))
+        assert beliefs(g, mu).node_beliefs[2] == 1.0
+
+
 class TestBestFixedPoint:
     def test_tree_restarts_agree(self):
         g = random_tree_graph(3, kind="snfg")
