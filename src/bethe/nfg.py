@@ -279,11 +279,11 @@ def validate_graph(
     min_eig: dict[int, float] = {}
     if g.is_classical:
         for f in g.factors:
-            table = f.as_dense(float) if f.is_sparse else np.asarray(f.dense)
-            if np.iscomplexobj(table):
+            _, values = f.support()
+            if np.iscomplexobj(values):
                 issues.append(f"node {f.node}: complex values in a classical table")
-            elif table.size and table.min() < 0:
-                issues.append(f"node {f.node}: negative value {table.min():g}")
+            elif values.size and values.min() < 0:
+                issues.append(f"node {f.node}: negative value {values.min():g}")
     else:
         for node in range(g.num_nodes):
             choi = g.choi_matrix(node)

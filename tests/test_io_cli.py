@@ -185,6 +185,18 @@ class TestCli:
         assert doc["payload"]["converged"] is True
         assert doc["payload"]["z_b_spa"] == pytest.approx(5.0)
 
+    def test_spa_restarts_report_per_candidate_counts(self, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(graph_to_json(random_denfg("fig1", seed=6)))
+        doc = json.loads(
+            self.run("spa", "--graph", str(graph), "--restarts", "2", "--seed", "3")
+        )
+        payload = doc["payload"]
+        assert [c["restart"] for c in payload["candidates"]] == [0, 1, 2]
+        for c in payload["candidates"]:
+            assert c["iterations"] >= 1 and c["rerandomized"] == 0
+        assert payload["iterations"] in [c["iterations"] for c in payload["candidates"]]
+
     def test_covers_csv_deterministic(self, tmp_path):
         graph = tmp_path / "g.json"
         graph.write_text(graph_to_json(random_snfg("fig1", seed=1)))

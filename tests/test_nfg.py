@@ -53,6 +53,34 @@ class TestValidation:
         g = two_node_graph([1.0, -0.5], [1.0, 1.0])
         assert not validate_graph(g).ok
 
+    @pytest.mark.parametrize(
+        "value, issue",
+        [(1 + 2j, "complex values in a classical table"), (-1.0, "negative value")],
+        ids=["complex", "negative"],
+    )
+    def test_sparse_classical_table_flagged(self, value, issue):
+        g = NormalFactorGraph(
+            kind="snfg",
+            num_nodes=2,
+            edges=[EdgeDecl(0, (0, 1), 2)],
+            factors=[
+                LocalFunction(0, (2,), sparse={(0,): value}),
+                LocalFunction(1, (2,), dense=np.ones(2)),
+            ],
+        )
+        report = validate_graph(g)
+        assert not report.ok
+        assert any(issue in text for text in report.issues)
+
+    def test_sparse_classical_tables_not_densified(self, monkeypatch):
+        g = build_perm_nfg(np.ones((13, 13)))
+
+        def fail(self, dtype=None):
+            raise AssertionError("validate_graph densified a sparse table")
+
+        monkeypatch.setattr(LocalFunction, "as_dense", fail)
+        assert validate_graph(g).ok
+
     def test_hermitian_but_not_psd_is_weak_sense(self):
         table = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex)  # eigs 3, -1
         g = two_node_graph(table, identity_pair_table(2), kind="denfg")

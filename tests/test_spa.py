@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe.errors import DegenerateFixedPointError
+from bethe import spa
+from bethe.errors import ConvergenceError, DegenerateFixedPointError
 from bethe.gct import random_denfg, random_snfg
 from bethe.nfg import (
     EdgeDecl,
@@ -13,18 +14,34 @@ from bethe.nfg import (
     global_value,
     partition_function_exact,
 )
+from bethe.rng import seeded_rng
 from bethe.spa import (
     beliefs,
     best_fixed_point,
     bethe_free_energy,
     edge_consistency_residual,
     pseudo_dual_bethe,
+    random_messages,
     spa_run,
     spa_step,
     uniform_messages,
 )
 
 from conftest import random_tree_graph
+
+
+def vanishing_graph():
+    """A factor that zeroes one symbol of its only edge while its neighbor
+    zeroes the other: every update has a vanishing normalizer."""
+    return NormalFactorGraph(
+        kind="snfg",
+        num_nodes=2,
+        edges=[EdgeDecl(0, (0, 1), 2)],
+        factors=[
+            LocalFunction(0, (2,), dense=np.array([0.0, 0.0])),
+            LocalFunction(1, (2,), dense=np.array([1.0, 1.0])),
+        ],
+    )
 
 
 def power_method_graph():
@@ -126,19 +143,9 @@ class TestFixedPointStructure:
         assert not report.converged and report.iterations == 2
 
     def test_vanishing_normalizer_rerandomizes(self):
-        # a factor that zeroes one symbol of its only edge while its
-        # neighbor zeroes the other: the first update has kappa = 0, the
-        # escape rule re-randomizes and iteration continues
-        g = NormalFactorGraph(
-            kind="snfg",
-            num_nodes=2,
-            edges=[EdgeDecl(0, (0, 1), 2)],
-            factors=[
-                LocalFunction(0, (2,), dense=np.array([0.0, 0.0])),
-                LocalFunction(1, (2,), dense=np.array([1.0, 1.0])),
-            ],
-        )
-        mu, report = spa_run(g, max_iters=5)
+        # the first update has kappa = 0, the escape rule re-randomizes and
+        # iteration continues
+        mu, report = spa_run(vanishing_graph(), max_iters=5)
         assert report.rerandomized == 5 and not report.converged
 
 
@@ -295,6 +302,19 @@ class TestSupportKernel:
         assert report.z_b_spa == pytest.approx(partition_function_exact(g))
         assert beliefs(g, mu).node_beliefs[2] == 1.0
 
+    def test_graph_without_edges(self):
+        g = NormalFactorGraph(
+            kind="snfg",
+            num_nodes=2,
+            edges=[],
+            factors=[
+                LocalFunction(0, (), dense=np.array(2.0)),
+                LocalFunction(1, (), dense=np.array(3.0)),
+            ],
+        )
+        _, report = best_fixed_point(g, restarts=1)
+        assert report.converged and report.z_b_spa == 6.0
+
 
 class TestBestFixedPoint:
     def test_tree_restarts_agree(self):
@@ -316,6 +336,43 @@ class TestBestFixedPoint:
         assert [c["residual"] for c in r1.candidates] == [
             c["residual"] for c in r2.candidates
         ]
+
+    @pytest.mark.parametrize(
+        "g, seed",
+        [(random_snfg("fig5", seed=1), 1), (random_denfg("fig1", seed=2), 2)],
+        ids=["snfg-fig5", "denfg-fig1"],
+    )
+    def test_batched_restarts_match_single_runs(self, g, seed):
+        _, report = best_fixed_point(g, seed=seed)
+        for c in report.candidates:
+            idx = c["restart"]
+            if idx == 0:
+                init = uniform_messages(g)
+            else:
+                init = random_messages(g, seeded_rng(seed, 2 * idx))
+            _, alone = spa_run(g, init, seed=seed, rng_stream=2 * idx + 1)
+            assert (c["z_b_spa"], c["residual"], c["iterations"]) == (
+                alone.z_b_spa,
+                alone.residual,
+                alone.iterations,
+            )
+        # the restarts stop at different iterations within one batch
+        assert len({c["iterations"] for c in report.candidates}) > 1
+
+    def test_vanishing_normalizer_every_restart(self, monkeypatch):
+        # every restart re-randomizes at every iteration, each from its own
+        # Philox stream 2 * idx + 1; streams 2, 4, 6 draw the random starts
+        draws = {}
+
+        def counting(g, rng):
+            stream = int(rng.bit_generator.state["state"]["key"][1])
+            draws[stream] = draws.get(stream, 0) + 1
+            return random_messages(g, rng)
+
+        monkeypatch.setattr(spa, "random_messages", counting)
+        with pytest.raises(ConvergenceError):
+            best_fixed_point(vanishing_graph(), restarts=3, max_iters=5)
+        assert draws == {1: 5, 2: 1, 3: 5, 4: 1, 5: 5, 6: 1, 7: 5}
 
     def test_frustrated_cycle_lists_candidates(self):
         g = random_snfg("theta", seed=13)
