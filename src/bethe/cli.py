@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, coeffs, covers, gct, graphio, lct, perm, sst
-from .errors import BetheError, NumericalError, ValidationError
+from .errors import BetheError, ValidationError
 from .nfg import partition_function_exact, validate_graph
 from .spa import best_fixed_point, spa_run
 
@@ -54,30 +54,25 @@ def cmd_perm(args):
     theta = graphio.parse_matrix(_read(args.matrix))
     rows = []
     header = ["method", "value", "lower_ok", "upper_ok"]
+    n = theta.shape[0]
     if args.method == "exact":
         rows.append(["exact", perm.perm_exact(theta), "", ""])
-    elif args.method == "bethe":
-        res = perm.perm_bethe(theta, seed=args.seed)
-        exact = perm.perm_exact(theta)
-        ratio = exact / res.value
-        n = theta.shape[0]
-        rows.append(
-            ["bethe", res.value, ratio >= 1 - 1e-9, ratio <= 2 ** (n / 2) * (1 + 1e-9)]
-        )
-    elif args.method == "scs":
-        res = perm.perm_sinkhorn_scaled(theta)
-        exact = perm.perm_exact(theta)
-        ratio = exact / res.value
-        n = theta.shape[0]
-        lo = np.e**n * math.factorial(n) / n**n if n <= 20 else None
-        rows.append(
-            [
-                "scs",
-                res.value,
-                lo is None or ratio >= lo * (1 - 1e-9),
-                ratio <= np.e**n * (1 + 1e-9),
-            ]
-        )
+    elif args.method in ("bethe", "scs"):
+        # bounds on perm(theta) / approximation
+        if args.method == "bethe":
+            res = perm.perm_bethe(theta, seed=args.seed)
+            lo, hi = 1.0, 2 ** (n / 2)
+        else:
+            res = perm.perm_sinkhorn_scaled(theta)
+            lo = np.e**n * math.factorial(n) / n**n if n <= 20 else None
+            hi = np.e**n
+        # the bound cells need the exact permanent; past the
+        # inclusion-exclusion cap they stay empty
+        bounds = ["", ""]
+        if n <= perm.RYSER_CAP:
+            ratio = perm.perm_exact(theta) / res.value
+            bounds = [lo is None or ratio >= lo * (1 - 1e-9), ratio <= hi * (1 + 1e-9)]
+        rows.append([args.method, res.value, *bounds])
     elif args.method == "degree-m":
         res = perm.perm_bethe_degree_m(
             theta, args.M, args.mode, seed=args.seed, samples=args.samples
@@ -165,17 +160,9 @@ def cmd_spa(args):
 def cmd_covers(args):
     start = time.monotonic()
     g = graphio.parse_graph_json(_read(args.graph))
-    estimates = []
-    for M in range(1, args.M + 1):
-        estimates.append(
-            covers.degree_m_bethe(
-                g,
-                M,
-                args.mode,
-                seed=args.seed + M,
-                samples=args.samples,
-            )
-        )
+    estimates = covers.degree_m_series(
+        g, args.M, args.mode, seed=args.seed, samples=args.samples
+    )
     wall = int(1000 * (time.monotonic() - start))
     rows = [
         (e.M, e.method, e.value, e.stderr, e.covers_evaluated, wall)
@@ -209,8 +196,6 @@ def cmd_sst(args):
         payload = {"method": "pe", "M": args.M, "zbm": value}
     else:
         est = sst.zbm_via_sst_mc(g, args.M, args.samples, args.seed)
-        if est.mean < 0:
-            raise NumericalError(f"degree-M average estimate {est.mean:g} is negative")
         payload = {
             "method": "mc",
             "M": args.M,
@@ -218,7 +203,7 @@ def cmd_sst(args):
             "stderr": est.stderr,
             "imag_residual": est.imag_mean,
             "samples": est.samples,
-            "zbm": est.mean ** (1.0 / args.M),
+            "zbm": covers.degree_m_root(est.mean, args.M)[1],
         }
     _print_json(args, payload, int(1000 * (time.monotonic() - start)))
 

@@ -63,11 +63,15 @@ def _multiply_and_sum(group, var, cards, max_table_entries):
             f"{len(out_vars)} variables with {size} entries "
             f"(budget {max_table_entries})"
         )
+    # einsum takes integer labels only in [0, 52): relabel this step's
+    # variables in increasing order
+    step_vars = sorted({v for scope, _ in group for v in scope})
+    local = {v: k for k, v in enumerate(step_vars)}
     args = []
     for scope, tensor in group:
         args.append(tensor)
-        args.append(list(scope))
-    args.append(out_vars)
+        args.append([local[v] for v in scope])
+    args.append([local[v] for v in out_vars])
     return tuple(out_vars), np.einsum(*args, optimize=True)
 
 

@@ -4,9 +4,10 @@ A cover is specified by one permutation of {0..M-1} per edge: copy m of
 endpoint i connects to copy sigma_e(m) of endpoint j. Double edges are
 permuted as units, so covers of double-edge graphs are double-edge
 graphs of the same kind. Z_{B,M} is the M-th root of the average cover
-partition function; three evaluation modes are provided (full
-enumeration, enumeration with the permutations on a spanning forest
-gauge-fixed to the identity, and Monte Carlo).
+partition function (`degree_m_root`, shared with the type-aggregated
+route in `sst`). Covers are averaged by one enumeration, which fixes the
+identity on a chosen set of edges (a spanning forest in gauge mode, no
+edge in exact mode), or by Monte Carlo over uniformly random covers.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError, ResourceError, ValidationError
 from .nfg import (
     EdgeDecl,
@@ -24,20 +23,21 @@ from .nfg import (
     NormalFactorGraph,
     partition_function_exact,
 )
-from .rng import seeded_rng
+from .rng import Moments, seeded_rng
 
 __all__ = [
     "CoverSpec",
     "DegreeMEstimate",
     "build_cover",
     "degree_m_bethe",
+    "degree_m_root",
     "degree_m_series",
     "spanning_forest",
 ]
 
 EXACT_BUDGET = 10**5
 MC_SAMPLES = 2000
-CHUNK = 64
+CHUNK = 64  # covers evaluated per accumulator update; one rng stream each
 COVER_IMAG_TOL = 1e-9
 
 
@@ -130,54 +130,47 @@ def spanning_forest(g: NormalFactorGraph) -> list[int]:
     return sorted(tree)
 
 
-def _evaluate_specs(g, specs, max_table_entries):
-    return [
-        partition_function_exact(
-            build_cover(g, spec),
-            max_table_entries=max_table_entries,
-            check_strict=False,
+def degree_m_root(power, M: int) -> tuple[float, float]:
+    """(real power, power ** (1/M)) for an average partition function
+    over degree-M covers. An imaginary part above
+    COVER_IMAG_TOL * (1 + |power|), or a real part that is negative or
+    NaN, raises rather than being dropped or clamped."""
+    power = complex(power)
+    if abs(power.imag) > COVER_IMAG_TOL * (1.0 + abs(power)):
+        raise NumericalError(f"degree-M average has imaginary part {power.imag:g}")
+    power = power.real
+    if not power >= 0:
+        raise NumericalError(
+            f"degree-M average {power:g} is not a non-negative number"
         )
-        for spec in specs
-    ]
+    return power, power ** (1.0 / M)
 
 
-def _reduce_mean(values):
-    """Deterministic chunked accumulation: fixed-size chunk sums reduced
-    in order, so the result is bit-stable for a given seed."""
-    total = 0.0
-    count = 0
-    for start in range(0, len(values), CHUNK):
-        chunk = values[start : start + CHUNK]
-        total = total + np.sum(chunk)
-        count += len(chunk)
-    return total / count
+def _enumerate_covers(g, M, loose):
+    """Every cover with the identity on each edge outside `loose`, in
+    itertools.product order over the loose edges."""
+    identity = tuple(range(M))
+    for assignment in itertools.product(
+        itertools.permutations(range(M)), repeat=len(loose)
+    ):
+        perms = [identity] * g.num_edges
+        for pos, sigma in zip(loose, assignment):
+            perms[pos] = sigma
+        yield CoverSpec(M, tuple(perms))
 
 
-def _finalize(g, M, zs, method):
-    mean = _reduce_mean(zs)
-    stderr = None
-    if method == "monte-carlo" and len(zs) > 1:
-        arr = np.asarray(zs)
-        stderr = float(np.std(arr.real, ddof=1) / math.sqrt(len(arr)))
-    if not g.is_classical:
-        if abs(np.imag(mean)) > COVER_IMAG_TOL * (1.0 + abs(mean)):
-            raise NumericalError(
-                f"cover average has imaginary part {np.imag(mean):g}"
+def _random_covers(g, M, samples, seed):
+    """`samples` uniformly random covers, one generator stream per chunk."""
+    for start in range(0, samples, CHUNK):
+        rng = seeded_rng(seed, start // CHUNK)
+        for _ in range(min(CHUNK, samples - start)):
+            yield CoverSpec(
+                M,
+                tuple(
+                    tuple(int(x) for x in rng.permutation(M))
+                    for _ in range(g.num_edges)
+                ),
             )
-        mean = float(np.real(mean))
-    else:
-        mean = float(mean)
-    if mean < 0:
-        raise NumericalError(f"cover average {mean:g} is negative")
-    value = mean ** (1.0 / M)
-    return DegreeMEstimate(
-        M=M,
-        value=value,
-        method=method,
-        covers_evaluated=len(zs),
-        mean_power=mean,
-        stderr=stderr,
-    )
 
 
 def degree_m_bethe(
@@ -193,83 +186,62 @@ def degree_m_bethe(
     """Z_{B,M}: the M-th root of the average partition function over all
     labeled M-covers.
 
-    Modes: ``exact`` enumerates all (M!)^|E| covers; ``gauge`` fixes the
-    identity permutation on a spanning forest and enumerates the rest
-    (the average is unchanged because per-node copy relabelings preserve
-    both the partition function and the uniform measure on covers —
-    cross-checked against exact mode in the test suite); ``mc`` samples
-    covers uniformly. ``auto`` picks the cheapest exact variant within
-    budget, falling back to Monte Carlo.
+    Modes: ``gauge`` fixes the identity permutation on a spanning forest
+    and enumerates the (M!)^(cycle rank) covers left (the average is
+    unchanged because per-node copy relabelings preserve both the
+    partition function and the uniform measure on covers); ``exact`` is
+    the same enumeration with no edge fixed, all (M!)^|E| covers, kept as
+    the independent check of the gauge argument; ``mc`` samples covers
+    uniformly. ``auto`` picks gauge when its count is within
+    `exact_budget`, else mc. Cover values are averaged chunk by chunk
+    (`rng.Moments`) and finished by `degree_m_root`.
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
-    mfact = math.factorial(M)
-    n_edges = g.num_edges
-    free_gauge = n_edges - len(spanning_forest(g))
-
+    if mode not in ("auto", "exact", "gauge", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    fixed = set() if mode == "exact" else set(spanning_forest(g))
+    loose = [pos for pos in range(g.num_edges) if pos not in fixed]
+    count = math.factorial(M) ** len(loose)
     if mode == "auto":
-        if mfact**n_edges <= exact_budget:
-            mode = "exact"
-        elif mfact**free_gauge <= exact_budget:
-            mode = "gauge"
-        else:
-            mode = "mc"
-
-    perms = list(itertools.permutations(range(M)))
-    identity = tuple(range(M))
-
-    if mode == "exact":
-        count = mfact**n_edges
-        if count > exact_budget:
-            raise ResourceError(
-                f"exact mode needs {count} covers (budget {exact_budget}); "
-                "use gauge or mc mode"
-            )
-        specs = [
-            CoverSpec(M, assignment)
-            for assignment in itertools.product(perms, repeat=n_edges)
-        ]
-        zs = _evaluate_specs(g, specs, max_table_entries)
-        return _finalize(g, M, zs, "exact-enumeration")
-
-    if mode == "gauge":
-        tree = set(spanning_forest(g))
-        loose = [pos for pos in range(n_edges) if pos not in tree]
-        count = mfact ** len(loose)
-        if count > exact_budget:
-            raise ResourceError(
-                f"gauge-fixed mode needs {count} covers (budget {exact_budget}); "
-                "use mc mode"
-            )
-        specs = []
-        for assignment in itertools.product(perms, repeat=len(loose)):
-            full = [identity] * n_edges
-            for pos, sigma in zip(loose, assignment):
-                full[pos] = sigma
-            specs.append(CoverSpec(M, tuple(full)))
-        zs = _evaluate_specs(g, specs, max_table_entries)
-        return _finalize(g, M, zs, "gauge-fixed-enumeration")
+        mode = "gauge" if count <= exact_budget else "mc"
 
     if mode == "mc":
         if samples < 1:
             raise ValidationError("samples must be >= 1")
-        specs = []
-        for start in range(0, samples, CHUNK):
-            rng = seeded_rng(seed, start // CHUNK)
-            for _ in range(min(CHUNK, samples - start)):
-                specs.append(
-                    CoverSpec(
-                        M,
-                        tuple(
-                            tuple(int(x) for x in rng.permutation(M))
-                            for _ in range(n_edges)
-                        ),
-                    )
-                )
-        zs = _evaluate_specs(g, specs, max_table_entries)
-        return _finalize(g, M, zs, "monte-carlo")
+        specs = _random_covers(g, M, samples, seed)
+        method = "monte-carlo"
+    else:
+        if count > exact_budget:
+            fallback = "gauge or mc" if mode == "exact" else "mc"
+            raise ResourceError(
+                f"{mode} mode needs {count} covers (budget {exact_budget}); "
+                f"use {fallback} mode"
+            )
+        specs = _enumerate_covers(g, M, loose)
+        method = "exact-enumeration" if mode == "exact" else "gauge-fixed-enumeration"
 
-    raise ValueError(f"unknown mode {mode!r}")
+    acc = Moments()
+    while chunk := list(itertools.islice(specs, CHUNK)):
+        acc.add(
+            [
+                partition_function_exact(
+                    build_cover(g, spec),
+                    max_table_entries=max_table_entries,
+                    check_strict=False,
+                )
+                for spec in chunk
+            ]
+        )
+    mean_power, value = degree_m_root(acc.mean, M)
+    return DegreeMEstimate(
+        M=M,
+        value=value,
+        method=method,
+        covers_evaluated=acc.count,
+        mean_power=mean_power,
+        stderr=acc.stderr if mode == "mc" else None,
+    )
 
 
 def degree_m_series(
@@ -283,7 +255,7 @@ def degree_m_series(
 ) -> list[DegreeMEstimate]:
     """Estimates for M = 1..M_max with one seed stream per M."""
     if M_max < 1:
-        raise ValueError("M_max must be >= 1")
+        raise ValidationError("M_max must be >= 1")
     return [
         degree_m_bethe(
             g,

@@ -17,17 +17,17 @@ degenerate case where the zero symbol carries all edge-belief mass).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFixedPointError, NumericalError, ResourceError
+from .errors import DegenerateFixedPointError, NumericalError
 from .nfg import (
     EdgeDecl,
     LocalFunction,
     NormalFactorGraph,
+    enumerate_configurations,
+    global_value,
     partition_function_exact,
 )
 from . import spa as spa_mod
@@ -284,22 +284,11 @@ def verify_lct_properties(
                 worst = max(worst, abs(t[tuple(idx)]) / node_scale)
     report.record("weight_one_vanishes", worst, zero_tol)
 
-    cards = gt.var_cards()
-    n_configs = math.prod(cards) if cards else 1
-    if n_configs > config_budget:
-        raise ResourceError(
-            f"{n_configs} configurations exceed the verification budget"
-        )
     gscale = max(abs(g0), 1e-300)
     loop_sum = 0.0
     non_loop_worst = 0.0
-    z_by_enum = 0.0
-    for cfg in itertools.product(*(range(c) for c in cards)):
-        val = 1.0
-        for node in range(gt.num_nodes):
-            sub = tuple(cfg[p] for p in gt.incident(node))
-            val = val * tables[node][sub]
-        z_by_enum += val
+    for cfg in enumerate_configurations(gt, config_budget):
+        val = global_value(gt, cfg)
         support = [p for p, s in enumerate(cfg) if s != 0]
         if is_generalized_loop(gt, support):
             if support:

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph
-from .rng import seeded_rng
+from .rng import Moments, seeded_rng
 
 __all__ = [
     "PermResult",
@@ -305,7 +305,9 @@ def perm_bethe_degree_m(
     if mode == "coeff":
         power = _coeff_sum(theta, M, coeffs.coeff_bethe)
         return PermResult(
-            value=power ** (1.0 / M), method="degree-m-bethe-coeff", aux={"power": power}
+            value=_mth_root(power, M),
+            method="degree-m-bethe-coeff",
+            aux={"power": power},
         )
     if mode == "lift":
         mfact = math.factorial(M)
@@ -319,12 +321,12 @@ def perm_bethe_degree_m(
         # k in base M!, block 0 most significant: itertools.product order
         table = np.array(list(itertools.permutations(range(M))))
         place = mfact ** np.arange(n * n - 1, -1, -1)
-        total = 0.0
+        acc = Moments()
         for start in range(0, count, LIFT_CHUNK):
             k = np.arange(start, min(start + LIFT_CHUNK, count))
             blocks = table[k[:, None] // place % mfact]
-            total += _ryser(_lifted_matrices(theta, blocks)).sum()
-        power = float(total / count)
+            acc.add(_ryser(_lifted_matrices(theta, blocks)))
+        power = acc.mean
         return PermResult(
             value=_mth_root(power, M),
             method="degree-m-bethe-lift",
@@ -334,24 +336,16 @@ def perm_bethe_degree_m(
         if samples < 1:
             raise ValidationError("samples must be >= 1")
         rng = seeded_rng(seed, 0)
-        count, power, m2 = 0, 0.0, 0.0
+        acc = Moments()
         for start in range(0, samples, LIFT_CHUNK):
             k = min(LIFT_CHUNK, samples - start)
             draws = [rng.permutation(M) for _ in range(k * n * n)]
-            values = _ryser(_lifted_matrices(theta, np.reshape(draws, (k, n * n, M))))
-            # merge the chunk's mean and squared deviations into the running
-            # ones (Chan, Golub & LeVeque), so memory does not grow with samples
-            mean = values.mean()
-            delta = mean - power
-            m2 += ((values - mean) ** 2).sum() + delta**2 * count * k / (count + k)
-            count += k
-            power += delta * k / count
-        power = float(power)
-        stderr = float(math.sqrt(m2 / (count - 1) / count)) if samples > 1 else None
+            acc.add(_ryser(_lifted_matrices(theta, np.reshape(draws, (k, n * n, M)))))
+        power = acc.mean
         return PermResult(
             value=_mth_root(power, M),
             method="degree-m-bethe-mc",
-            aux={"power": power, "stderr": stderr, "samples": samples},
+            aux={"power": power, "stderr": acc.stderr, "samples": samples},
         )
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -21,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .contraction import contract_network
-from .errors import NumericalError, ResourceError, ValidationError
+from .covers import degree_m_root
+from .errors import ResourceError, ValidationError
 from .nfg import NormalFactorGraph
-from .rng import seeded_rng
+from .rng import Moments, seeded_rng
 
 __all__ = [
     "type_of",
@@ -40,17 +41,30 @@ __all__ = [
 ]
 
 PE_DENSE_CAP = 64  # largest d^M for which P_e may be materialized densely
-PE_IMAG_TOL = 1e-9
 MC_CHUNK = 1 << 14
 
 
 @dataclass
 class McEstimate:
+    """Real and imaginary parts of a Monte Carlo mean with their standard
+    errors (None below two samples)."""
+
     mean: float
-    stderr: float
+    stderr: float | None
     samples: int
     imag_mean: float = 0.0
-    imag_stderr: float = 0.0
+    imag_stderr: float | None = 0.0
+
+
+def _estimate(acc: Moments) -> McEstimate:
+    mean = complex(acc.mean)
+    return McEstimate(
+        mean=mean.real,
+        stderr=acc.stderr,
+        samples=acc.count,
+        imag_mean=mean.imag,
+        imag_stderr=acc.imag_stderr,
+    )
 
 
 # -- types ------------------------------------------------------------------
@@ -186,17 +200,7 @@ def zbm_via_pe(
         sizes, _ = type_tables[g.var_card(pos)]
         tensors[node] = tensors[node] * (1.0 / sizes).reshape(shape)
     power = contract_network(scopes, tensors, cards, max_table_entries=max_table_entries)
-    if not g.is_classical:
-        power = complex(power)
-        if abs(power.imag) > PE_IMAG_TOL * (1.0 + abs(power)):
-            raise NumericalError(
-                f"degree-M average has imaginary part {power.imag:g}"
-            )
-        power = power.real
-    power = float(power)
-    if power < 0:
-        raise NumericalError(f"degree-M average {power:g} is negative")
-    return power ** (1.0 / M)
+    return degree_m_root(power, M)[1]
 
 
 # -- Fubini-Study sampling and the Monte Carlo estimators --------------------
@@ -252,7 +256,7 @@ def phi_integral_mc(
     b = num_types(d, M)
     u = np.asarray(u)
     v = np.asarray(v)
-    acc = _StreamingMoments()
+    acc = Moments()
     for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
         psi = _fs_batch(d, count, seeded_rng(seed, chunk_idx))
@@ -261,45 +265,7 @@ def phi_integral_mc(
             flipped = b * psi[:, u].conj().prod(axis=1) * psi[:, v].prod(axis=1)
             vals = (vals + flipped) / 2.0
         acc.add(vals)
-    return acc.estimate()
-
-
-class _StreamingMoments:
-    """Accumulate mean and standard error of complex samples chunk by
-    chunk (sums reduced in chunk order)."""
-
-    def __init__(self):
-        self.n = 0
-        self.s_re = 0.0
-        self.s2_re = 0.0
-        self.s_im = 0.0
-        self.s2_im = 0.0
-
-    def add(self, values):
-        re = values.real
-        im = values.imag
-        self.n += len(values)
-        self.s_re += float(re.sum())
-        self.s2_re += float((re * re).sum())
-        self.s_im += float(im.sum())
-        self.s2_im += float((im * im).sum())
-
-    def estimate(self) -> McEstimate:
-        n = self.n
-        mean_re = self.s_re / n
-        mean_im = self.s_im / n
-        if n > 1:
-            var_re = max(self.s2_re - n * mean_re**2, 0.0) / (n - 1)
-            var_im = max(self.s2_im - n * mean_im**2, 0.0) / (n - 1)
-        else:
-            var_re = var_im = 0.0
-        return McEstimate(
-            mean=mean_re,
-            stderr=math.sqrt(var_re / n),
-            samples=n,
-            imag_mean=mean_im,
-            imag_stderr=math.sqrt(var_im / n),
-        )
+    return _estimate(acc)
 
 
 def zbm_via_sst_mc(
@@ -334,7 +300,7 @@ def zbm_via_sst_mc(
             prod = prod * z_node**M
         return prod
 
-    acc = _StreamingMoments()
+    acc = Moments()
     for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
         rng = seeded_rng(seed, chunk_idx)
@@ -347,7 +313,7 @@ def zbm_via_sst_mc(
             conj_psi = {pos: arr.conj() for pos, arr in psi.items()}
             vals = (vals + integrand(conj_psi)) / 2.0
         acc.add(prefactor * vals)
-    return acc.estimate()
+    return _estimate(acc)
 
 
 def gamma_identity_check(k: int) -> float:

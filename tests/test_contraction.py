@@ -5,7 +5,15 @@ import pytest
 
 from bethe.contraction import contract_network, min_fill_order
 from bethe.errors import ResourceError
+from bethe.nfg import (
+    EdgeDecl,
+    LocalFunction,
+    NormalFactorGraph,
+    partition_function_exact,
+)
+from bethe.perm import build_perm_nfg
 from bethe.rng import seeded_rng
+from bethe.sst import zbm_via_pe
 
 
 def brute_force(scopes, tensors, cards):
@@ -77,3 +85,37 @@ def test_complex_dtype():
     t2 = rng.standard_normal((3,)) + 1j * rng.standard_normal((3,))
     z = contract_network([(0, 1), (1,)], [t1, t2], {0: 2, 1: 3})
     assert z == pytest.approx((t1 @ t2).sum(), rel=1e-12)
+
+
+def path_graph(n_edges, seed):
+    """Path with positive tables: end vectors a, b and 2x2 matrices B_k."""
+    rng = seeded_rng(seed, 3)
+    edges = [EdgeDecl(k, (k, k + 1), 2) for k in range(n_edges)]
+    tables = [rng.uniform(0.5, 1.5, 2)]
+    tables += [rng.uniform(0.5, 1.5, (2, 2)) for _ in range(n_edges - 1)]
+    tables += [rng.uniform(0.5, 1.5, 2)]
+    factors = [LocalFunction(v, t.shape, dense=t) for v, t in enumerate(tables)]
+    g = NormalFactorGraph(
+        kind="snfg", num_nodes=n_edges + 1, edges=edges, factors=factors
+    )
+    return g, tables
+
+
+class TestManyVariables:
+    """einsum accepts integer labels only below 52; graphs with more edges
+    must still contract."""
+
+    def test_8x8_permanent_graph_reports_its_budget(self):
+        # 64 edge variables; the min-fill order needs a table over 39 of
+        # them, far past the budget, which is refused before allocation
+        with pytest.raises(ResourceError, match="budget"):
+            partition_function_exact(build_perm_nfg(np.ones((8, 8))))
+
+    def test_zbm_via_pe_on_60_edge_path(self):
+        g, tables = path_graph(60, seed=1)
+        row = tables[0]
+        for t in tables[1:-1]:
+            row = row @ t
+        z = float(row @ tables[-1])
+        assert partition_function_exact(g) == pytest.approx(z, rel=1e-12)
+        assert zbm_via_pe(g, 1) == pytest.approx(z, rel=1e-12)

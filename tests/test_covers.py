@@ -12,6 +12,7 @@ from bethe.errors import ResourceError, ValidationError
 from bethe.gct import random_denfg, random_snfg
 from bethe.nfg import partition_function_exact
 from bethe.rng import seeded_rng
+from bethe.sst import zbm_via_pe
 
 from conftest import random_tree_graph, two_node_graph
 
@@ -140,6 +141,15 @@ class TestDegreeM:
         z = partition_function_exact(g)
         for est in degree_m_series(g, 3, "exact", exact_budget=10**5):
             assert est.value == pytest.approx(z, rel=1e-8)
+
+    def test_auto_enumerates_gauge_fixed_covers(self):
+        # fig1 has cycle rank 2: 6^2 gauge-fixed covers at M = 3, where
+        # full enumeration would take 6^5
+        g = random_snfg("fig1", seed=1)
+        est = degree_m_bethe(g, 3)
+        assert est.covers_evaluated == 36
+        assert est.method == "gauge-fixed-enumeration"
+        assert est.value == pytest.approx(zbm_via_pe(g, 3), rel=1e-12)
 
     def test_budget_errors(self):
         g = random_snfg("fig5", seed=0)

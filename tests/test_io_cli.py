@@ -18,6 +18,7 @@ from bethe.graphio import (
     parse_matrix,
 )
 from bethe.nfg import partition_function_exact
+from bethe.perm import build_perm_nfg
 from bethe.rng import seeded_rng
 
 MINIMAL_SNFG = json.dumps(
@@ -276,7 +277,7 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["perm", "sst"])
+    @pytest.mark.parametrize("command", ["perm", "sst", "covers"])
     def test_degree_zero_exit_code(self, tmp_path, command):
         if command == "perm":
             path = tmp_path / "m.csv"
@@ -285,13 +286,45 @@ class TestCli:
         else:
             path = tmp_path / "g.json"
             path.write_text(MINIMAL_SNFG)
-            argv = ["sst", "--graph", str(path)]
+            argv = [command, "--graph", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "bethe.cli", *argv, "--M", "0"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("method", ["bethe", "scs"])
+    def test_perm_bounds_left_empty_past_exact_cap(self, tmp_path, method):
+        n = 30  # above the inclusion-exclusion cap
+        theta = seeded_rng(11, 0).uniform(0.5, 1.5, (n, n))
+        mat = tmp_path / "m30.json"
+        mat.write_text(json.dumps(theta.tolist()))
+        rows = self.run("perm", "--matrix", str(mat), "--method", method).splitlines()
+        name, value, lower_ok, upper_ok = rows[1].split(",")
+        assert name == method and float(value) > 0
+        assert lower_ok == "" and upper_ok == ""
+
+    def test_graph_validate_z_on_64_edge_graphs(self, tmp_path):
+        from test_contraction import path_graph
+
+        graph = tmp_path / "path60.json"
+        graph.write_text(graph_to_json(path_graph(60, seed=1)[0]))
+        doc = json.loads(self.run("graph-validate", "--graph", str(graph), "--z"))
+        assert doc["payload"]["partition_function"] > 0
+        # the 8x8 permanent graph is past the contraction budget: a
+        # documented exit code, not a traceback
+        graph = tmp_path / "perm8.json"
+        graph.write_text(graph_to_json(build_perm_nfg(np.ones((8, 8)))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe.cli", "graph-validate", "--graph", str(graph),
+             "--z"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
