@@ -48,6 +48,7 @@ __all__ = [
 
 DIRECT_BUDGET = 10**7
 ENUM_BUDGET = 10**7
+FRACTIONAL_ATOL = 1e-12  # entries within this of 0 or 1 count as integral
 TERM_CHUNK = 1 << 16  # Ryser terms per numpy step, bounding its memory
 
 
@@ -87,9 +88,10 @@ class GammaMatrix:
         return GammaMatrix(tuple(tuple(int(x) for x in row) for row in k), M)
 
 
-def enumerate_gamma(n, M, support=None, budget=ENUM_BUDGET):
+def enumerate_gamma(n, M, support=None):
     """All integer matrices with row/column sums M, lexicographic in the
-    flattened entries. `support` (boolean matrix) forces zeros outside it."""
+    flattened entries. `support` (boolean matrix) forces zeros outside it.
+    Raises ResourceError past `ENUM_BUDGET` matrices."""
     if support is not None:
         support = [[bool(x) for x in row] for row in support]
     produced = 0
@@ -101,9 +103,9 @@ def enumerate_gamma(n, M, support=None, budget=ENUM_BUDGET):
         if i == n:
             if all(c == 0 for c in col_left):
                 produced += 1
-                if produced > budget:
+                if produced > ENUM_BUDGET:
                     raise ResourceError(
-                        f"more than {budget} matrices with row/column sums {M}"
+                        f"more than {ENUM_BUDGET} matrices with row/column sums {M}"
                     )
                 yield GammaMatrix(tuple(rows), M)
             return
@@ -192,10 +194,11 @@ def _count_rec(counts, M):
     return total
 
 
-def coeff_count_direct(gm: GammaMatrix, budget=DIRECT_BUDGET) -> int:
-    """Brute-force count over all tuples in S_n^M; cross-check oracle."""
+def coeff_count_direct(gm: GammaMatrix) -> int:
+    """Brute-force count over all tuples in S_n^M, at most `DIRECT_BUDGET`
+    of them; cross-check oracle."""
     n, M = gm.n, gm.M
-    if math.factorial(n) ** M > budget:
+    if math.factorial(n) ** M > DIRECT_BUDGET:
         raise ResourceError("direct enumeration over S_n^M exceeds budget")
     target = gm.counts
     count = 0
@@ -290,9 +293,9 @@ class FractionalSupport:
     perm_hat: float
 
 
-def fractional_support(gamma, atol=1e-12) -> FractionalSupport:
+def fractional_support(gamma) -> FractionalSupport:
     gamma = np.asarray(gamma, dtype=float)
-    frac = (gamma > atol) & (gamma < 1 - atol)
+    frac = (gamma > FRACTIONAL_ATOL) & (gamma < 1 - FRACTIONAL_ATOL)
     rows = tuple(int(i) for i in np.nonzero(frac.any(axis=1))[0])
     cols = tuple(int(j) for j in np.nonzero(frac.any(axis=0))[0])
     r = len(rows)

@@ -147,29 +147,27 @@ def degree_m_root(power, M: int) -> tuple[float, float]:
 
 
 def _enumerate_covers(g, M, loose):
-    """Every cover with the identity on each edge outside `loose`, in
-    itertools.product order over the loose edges."""
-    identity = tuple(range(M))
+    """The permutations (one per edge) of every cover with the identity on
+    each edge outside `loose`, in itertools.product order over the loose
+    edges."""
+    fixed = [tuple(range(M))] * g.num_edges
     for assignment in itertools.product(
         itertools.permutations(range(M)), repeat=len(loose)
     ):
-        perms = [identity] * g.num_edges
+        perms = fixed.copy()
         for pos, sigma in zip(loose, assignment):
             perms[pos] = sigma
-        yield CoverSpec(M, tuple(perms))
+        yield tuple(perms)
 
 
 def _random_covers(g, M, samples, seed):
-    """`samples` uniformly random covers, one generator stream per chunk."""
+    """The permutations (one per edge) of `samples` uniformly random
+    covers, one generator stream per chunk."""
     for start in range(0, samples, CHUNK):
         rng = seeded_rng(seed, start // CHUNK)
         for _ in range(min(CHUNK, samples - start)):
-            yield CoverSpec(
-                M,
-                tuple(
-                    tuple(int(x) for x in rng.permutation(M))
-                    for _ in range(g.num_edges)
-                ),
+            yield tuple(
+                tuple(int(x) for x in rng.permutation(M)) for _ in range(g.num_edges)
             )
 
 
@@ -181,7 +179,6 @@ def degree_m_bethe(
     seed: int = 0,
     samples: int = MC_SAMPLES,
     exact_budget: int = EXACT_BUDGET,
-    max_table_entries: int = 2**24,
 ) -> DegreeMEstimate:
     """Z_{B,M}: the M-th root of the average partition function over all
     labeled M-covers.
@@ -209,7 +206,7 @@ def degree_m_bethe(
     if mode == "mc":
         if samples < 1:
             raise ValidationError("samples must be >= 1")
-        specs = _random_covers(g, M, samples, seed)
+        covers = _random_covers(g, M, samples, seed)
         method = "monte-carlo"
     else:
         if count > exact_budget:
@@ -218,19 +215,17 @@ def degree_m_bethe(
                 f"{mode} mode needs {count} covers (budget {exact_budget}); "
                 f"use {fallback} mode"
             )
-        specs = _enumerate_covers(g, M, loose)
+        covers = _enumerate_covers(g, M, loose)
         method = "exact-enumeration" if mode == "exact" else "gauge-fixed-enumeration"
 
     acc = Moments()
-    while chunk := list(itertools.islice(specs, CHUNK)):
+    while chunk := list(itertools.islice(covers, CHUNK)):
         acc.add(
             [
                 partition_function_exact(
-                    build_cover(g, spec),
-                    max_table_entries=max_table_entries,
-                    check_strict=False,
+                    build_cover(g, CoverSpec(M, perms)), check_strict=False
                 )
-                for spec in chunk
+                for perms in chunk
             ]
         )
     mean_power, value = degree_m_root(acc.mean, M)

@@ -22,14 +22,6 @@ class StructuralError(ValidationError):
     """Graph shape mismatch (table size vs. incident alphabets, bad edge)."""
 
 
-class StrictnessError(ValidationError):
-    """Hermitian or PSD requirement violated by a local function."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class ResourceError(BetheError):
     """A configured enumeration or memory budget would be exceeded."""
 

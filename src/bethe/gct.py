@@ -48,6 +48,9 @@ TOPOLOGIES = {
     "theta": (2, [(0, 1), (0, 1), (0, 1)]),
     "tree3": (3, [(0, 1), (1, 2)]),
 }
+NEAR_PRODUCT_ALPHABET = 2
+CONDITION_FP_TOL = 1e-11  # sum-product runs of `check_condition`
+CONDITION_MAX_ITERS = 20000
 
 
 @dataclass
@@ -115,7 +118,6 @@ def random_snfg(topology: str = "fig1", alphabet: int = 2, seed: int = 0) -> Nor
 
 def near_product_denfg(
     topology: str = "fig1",
-    alphabet: int = 2,
     seed: int = 0,
     coupling: float = 0.0,
 ) -> NormalFactorGraph:
@@ -127,7 +129,9 @@ def near_product_denfg(
     factors concentrate entirely on the zero symbol); small couplings
     keep it satisfiable. The fully random ensemble essentially never
     satisfies the inequality at these sizes, so this family keeps the
-    condition-satisfying branch of the experiment non-vacuous."""
+    condition-satisfying branch of the experiment non-vacuous. Every edge
+    has `NEAR_PRODUCT_ALPHABET` symbols."""
+    alphabet = NEAR_PRODUCT_ALPHABET
     num_nodes, pairs = _edges_for(topology)
     rng = seeded_rng(seed, 1)
     edges = [
@@ -180,15 +184,17 @@ def check_condition(
     *,
     seed: int = 0,
     restarts: int = 16,
-    fp_tol: float = 1e-11,
-    max_iters: int = 20000,
 ) -> GctRecord:
     """Evaluate the checkable inequality for one graph: find the best
     fixed point, transform, and compare 3/2 of the pseudo-dual value to
     the product of transformed-factor absolute masses."""
     try:
         mu, report = best_fixed_point(
-            g, restarts=restarts, seed=seed, fp_tol=fp_tol, max_iters=max_iters
+            g,
+            restarts=restarts,
+            seed=seed,
+            fp_tol=CONDITION_FP_TOL,
+            max_iters=CONDITION_MAX_ITERS,
         )
         z_star = float(np.real(report.z_b_spa))
         tg = lct_transform(g, mu)

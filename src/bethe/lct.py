@@ -43,6 +43,9 @@ __all__ = [
 
 LCT_TOL = 1e-9
 BETA_ONE_TOL = 1e-12
+VERIFY_REL_TOL = 1e-8
+VERIFY_ZERO_TOL = 1e-9
+CONFIG_BUDGET = 2**20
 
 
 @dataclass
@@ -150,15 +153,14 @@ def lct_transform(
     mu: spa_mod.MessageVector,
     *,
     zeta_factor: float = 1.0,
-    lct_tol: float = LCT_TOL,
-    z_zero_tol: float = 1e-13,
 ) -> TransformedGraph:
     """Transform `g` at the fixed point `mu`.
 
     `zeta_factor` rescales the two edge scale factors against each other
     (their product is pinned); any value yields the same partition
-    function. Raises when an edge normalizer vanishes: no transform
-    exists there.
+    function. Raises when an edge normalizer is within `spa.Z_ZERO_TOL`
+    of zero (no transform exists there), and when an edge's identity
+    residual exceeds `LCT_TOL` times the matrices' scale.
     """
     dtype = float if g.is_classical else complex
     transforms = []
@@ -168,7 +170,7 @@ def lct_transform(
         mu_i = np.asarray(mu[(pos, i)], dtype=dtype)
         mu_j = np.asarray(mu[(pos, j)], dtype=dtype)
         z_e = (mu_i * mu_j).sum()
-        if abs(z_e) <= z_zero_tol:
+        if abs(z_e) <= spa_mod.Z_ZERO_TOL:
             raise DegenerateFixedPointError(
                 f"edge {e.id} has vanishing normalizer; the transform "
                 "does not exist at this fixed point"
@@ -178,7 +180,7 @@ def lct_transform(
         eye = np.eye(len(mu_i))
         res = float(np.abs(m_i @ m_j.T - eye).max())
         res_t = float(np.abs(m_i.T @ m_j - eye).max())
-        if res > lct_tol * scale:
+        if res > LCT_TOL * scale:
             raise NumericalError(
                 f"edge {e.id}: transform identity residual {res:g}"
             )
@@ -239,10 +241,6 @@ def verify_lct_properties(
     g: NormalFactorGraph,
     tg: TransformedGraph,
     mu: spa_mod.MessageVector,
-    *,
-    rel_tol: float = 1e-8,
-    zero_tol: float = 1e-9,
-    config_budget: int = 2**20,
 ) -> PropertyReport:
     """Numerically verify the transform's guarantees.
 
@@ -252,7 +250,9 @@ def verify_lct_properties(
     generalized loop, (5) the loop-series identity, (6) the indicator
     message vector is a fixed point of the transformed graph, (7, double
     edge) Hermitian structure of the transformed factors and the edge
-    matrices. Failures are recorded, never raised.
+    matrices. Relative checks pass within `VERIFY_REL_TOL`, vanishing
+    ones within `VERIFY_ZERO_TOL`, and (4)-(5) enumerate at most
+    `CONFIG_BUDGET` configurations. Failures are recorded, never raised.
     """
     report = PropertyReport()
     gt = tg.graph
@@ -261,7 +261,7 @@ def verify_lct_properties(
     z_src = partition_function_exact(g, check_strict=False)
     z_tr = partition_function_exact(gt, check_strict=False)
     scale = max(abs(z_src), 1e-300)
-    report.record("partition_unchanged", abs(z_tr - z_src) / scale, rel_tol)
+    report.record("partition_unchanged", abs(z_tr - z_src) / scale, VERIFY_REL_TOL)
 
     z_dual = spa_mod.pseudo_dual_bethe(g, mu)
     tables = [f.as_dense(dtype) for f in gt.factors]
@@ -271,7 +271,7 @@ def verify_lct_properties(
     report.record(
         "all_zero_equals_pseudo_dual",
         abs(g0 - z_dual) / max(abs(z_dual), 1e-300),
-        rel_tol,
+        VERIFY_REL_TOL,
     )
 
     worst = 0.0
@@ -282,12 +282,12 @@ def verify_lct_properties(
             for sym in range(1, t.shape[axis]):
                 idx[axis] = sym
                 worst = max(worst, abs(t[tuple(idx)]) / node_scale)
-    report.record("weight_one_vanishes", worst, zero_tol)
+    report.record("weight_one_vanishes", worst, VERIFY_ZERO_TOL)
 
     gscale = max(abs(g0), 1e-300)
     loop_sum = 0.0
     non_loop_worst = 0.0
-    for cfg in enumerate_configurations(gt, config_budget):
+    for cfg in enumerate_configurations(gt, CONFIG_BUDGET):
         val = global_value(gt, cfg)
         support = [p for p, s in enumerate(cfg) if s != 0]
         if is_generalized_loop(gt, support):
@@ -295,11 +295,11 @@ def verify_lct_properties(
                 loop_sum += val
         else:
             non_loop_worst = max(non_loop_worst, abs(val) / gscale)
-    report.record("support_is_generalized_loop", non_loop_worst, zero_tol)
+    report.record("support_is_generalized_loop", non_loop_worst, VERIFY_ZERO_TOL)
 
     series = z_dual * (1.0 + loop_sum / g0)
     report.record(
-        "loop_series_identity", abs(series - z_src) / scale, rel_tol
+        "loop_series_identity", abs(series - z_src) / scale, VERIFY_REL_TOL
     )
 
     indicator = {}
@@ -310,12 +310,14 @@ def verify_lct_properties(
             indicator[(pos, node)] = vec.copy()
     stepped, _ = spa_mod.spa_step(gt, indicator)
     if stepped is None:
-        report.record("indicator_fixed_point", float("inf"), rel_tol, passed=False)
+        report.record(
+            "indicator_fixed_point", float("inf"), VERIFY_REL_TOL, passed=False
+        )
     else:
         res = max(
             float(np.abs(stepped[k] - indicator[k]).max()) for k in indicator
         )
-        report.record("indicator_fixed_point", res, rel_tol)
+        report.record("indicator_fixed_point", res, VERIFY_REL_TOL)
 
     if not g.is_classical:
         dev = 0.0
@@ -327,7 +329,7 @@ def verify_lct_properties(
             for m in (tr.m_i, tr.m_j):
                 choi = _pair_function_choi(m, d)
                 dev = max(dev, float(np.abs(choi - choi.conj().T).max()))
-        report.record("hermitian_structure", dev, zero_tol)
+        report.record("hermitian_structure", dev, VERIFY_ZERO_TOL)
 
     return report
 

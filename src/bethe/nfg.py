@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contraction import contract_network
-from .errors import NumericalError, ResourceError, StructuralError, StrictnessError
+from .errors import NumericalError, ResourceError, StructuralError
 
 __all__ = [
     "EdgeDecl",
@@ -260,18 +260,14 @@ class ValidationReport:
     min_eigenvalue: dict[int, float]
 
 
-def validate_graph(
-    g: NormalFactorGraph,
-    *,
-    hermitian_tol: float = HERMITIAN_TOL,
-    psd_tol: float = PSD_TOL,
-    require_strict: bool = False,
-) -> ValidationReport:
+def validate_graph(g: NormalFactorGraph) -> ValidationReport:
     """Check value-level invariants: non-negativity for classical tables,
     Hermitian (and, strict-sense, PSD) Choi matrices for double-edge ones.
 
     Structural invariants are enforced at construction; this reports the
-    numeric ones. With ``require_strict`` a PSD violation raises.
+    numeric ones without raising. A Choi matrix counts as Hermitian
+    within `HERMITIAN_TOL`, and as PSD when no eigenvalue lies below
+    `-PSD_TOL` times the larger of 1 and its trace.
     """
     issues = []          # violations of validity (shape/negativity/Hermitian)
     psd_issues = []      # violations of strict sense only
@@ -289,7 +285,7 @@ def validate_graph(
             choi = g.choi_matrix(node)
             dev = float(np.abs(choi - choi.conj().T).max()) if choi.size else 0.0
             herm_dev[node] = dev
-            if dev > hermitian_tol:
+            if dev > HERMITIAN_TOL:
                 issues.append(f"node {node}: Hermitian deviation {dev:g}")
                 continue
             herm = (choi + choi.conj().T) / 2
@@ -297,28 +293,21 @@ def validate_graph(
             low = float(eigs.min()) if eigs.size else 0.0
             min_eig[node] = low
             scale = max(1.0, abs(float(np.trace(herm).real)))
-            if low < -psd_tol * scale:
+            if low < -PSD_TOL * scale:
                 psd_issues.append(
                     f"node {node}: Choi matrix not PSD (min eig {low:g})"
                 )
-    report = ValidationReport(
+    return ValidationReport(
         ok=not issues,
         strict_sense=not issues and not psd_issues,
         issues=issues + psd_issues,
         hermitian_deviation=herm_dev,
         min_eigenvalue=min_eig,
     )
-    if issues:
-        raise_msg = "; ".join(issues)
-        if require_strict:
-            raise StrictnessError(raise_msg)
-    elif require_strict and psd_issues:
-        raise StrictnessError("; ".join(psd_issues))
-    return report
 
 
-def is_strict_sense(g: NormalFactorGraph, psd_tol: float = PSD_TOL) -> bool:
-    return validate_graph(g, psd_tol=psd_tol).strict_sense
+def is_strict_sense(g: NormalFactorGraph) -> bool:
+    return validate_graph(g).strict_sense
 
 
 def global_value(g: NormalFactorGraph, config):
@@ -346,9 +335,10 @@ def enumerate_configurations(g: NormalFactorGraph, cap: int = ENUMERATION_CAP):
     return itertools.product(*(range(c) for c in cards))
 
 
-def partition_function_bruteforce(g: NormalFactorGraph, cap: int = ENUMERATION_CAP):
-    """Configuration-sum oracle; use only on small graphs."""
-    return sum(global_value(g, cfg) for cfg in enumerate_configurations(g, cap))
+def partition_function_bruteforce(g: NormalFactorGraph):
+    """Configuration-sum oracle over at most `ENUMERATION_CAP`
+    configurations; use only on small graphs."""
+    return sum(global_value(g, cfg) for cfg in enumerate_configurations(g))
 
 
 def partition_function_exact(
@@ -357,13 +347,12 @@ def partition_function_exact(
     order=None,
     max_table_entries: int = 2**24,
     check_strict: bool | None = None,
-    z_imag_tol: float = Z_IMAG_TOL,
 ):
     """Z(N) by variable elimination (greedy min-fill, deterministic ties).
 
     Classical graphs return a float; double-edge graphs return a complex
     number. For strict-sense double-edge graphs the result must be real
-    non-negative up to `z_imag_tol`; violations raise NumericalError.
+    non-negative up to `Z_IMAG_TOL`; violations raise NumericalError.
     `check_strict=None` tests strictness on demand, True/False forces it.
     """
     dtype = float if g.is_classical else complex
@@ -378,11 +367,11 @@ def partition_function_exact(
     z = complex(z)
     strict = is_strict_sense(g) if check_strict is None else check_strict
     if strict:
-        bound = z_imag_tol * (1.0 + abs(z))
+        bound = Z_IMAG_TOL * (1.0 + abs(z))
         if abs(z.imag) > bound:
             raise NumericalError(
                 f"strict-sense graph with |Im Z| = {abs(z.imag):g} > {bound:g}"
             )
-        if z.real < -z_imag_tol:
+        if z.real < -Z_IMAG_TOL:
             raise NumericalError(f"strict-sense graph with Re Z = {z.real:g} < 0")
     return z

@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.special import logsumexp
 
-from . import coeffs, spa
+from . import coeffs, covers, spa
 from .errors import (
     ConvergenceError,
     NumericalError,
@@ -27,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph
-from .rng import Moments, seeded_rng
+from .rng import Moments
 
 __all__ = [
     "PermResult",
@@ -46,10 +43,17 @@ __all__ = [
 
 RYSER_CAP = 24
 NAIVE_CAP = 9
+PAIR_CAP = 7  # largest n for the pair-of-permutations sum of perm_ratio_degree2
+# far above covers.EXACT_BUDGET: a lifting's Ryser permanent costs
+# microseconds where a contracted cover costs milliseconds
 LIFT_BUDGET = 10**6
 SINKHORN_TOL = 1e-12
 SINKHORN_MAX_ITERS = 10**5
-LIFT_CHUNK = 512  # lifted matrices built and evaluated per kernel call
+BETHE_FP_TOL = 1e-11
+BETHE_MAX_ITERS = 20000
+DS_TOL = 1e-7  # largest row/column-sum deviation of the edge-belief matrix
+CONSISTENCY_REL = 1e-7  # free-energy value against the pseudo-dual value
+CROSSCHECK_REL = 1e-10  # Kronecker permanent against the coefficient sum
 
 
 @dataclass
@@ -62,6 +66,10 @@ class PermResult:
 def check_matrix(theta) -> np.ndarray:
     """Validate a square non-negative matrix with at least one supporting
     permutation (positive diagonal after column permutation)."""
+    # imported here so that importing the library does not load scipy.sparse
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ValidationError("matrix must be square")
@@ -78,15 +86,15 @@ def check_matrix(theta) -> np.ndarray:
     return theta
 
 
-def perm_exact(a, cap: int = RYSER_CAP) -> float:
+def perm_exact(a) -> float:
     """Permanent by inclusion-exclusion over column subsets, O(2^n * n)
-    (`coeffs.perm_float`)."""
+    (`coeffs.perm_float`), for n up to `RYSER_CAP`."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError("matrix must be square")
-    if n > cap:
-        raise ResourceError(f"n = {n} exceeds the inclusion-exclusion cap {cap}")
+    if n > RYSER_CAP:
+        raise ResourceError(f"n = {n} exceeds the inclusion-exclusion cap {RYSER_CAP}")
     return _ryser(a)
 
 
@@ -106,12 +114,12 @@ def _ryser(a):
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
-def perm_naive(a, cap: int = NAIVE_CAP) -> float:
-    """Permutation-sum oracle, O(n!)."""
+def perm_naive(a) -> float:
+    """Permutation-sum oracle, O(n!), for n up to `NAIVE_CAP`."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if n > cap:
-        raise ResourceError(f"n = {n} exceeds the naive cap {cap}")
+    if n > NAIVE_CAP:
+        raise ResourceError(f"n = {n} exceeds the naive cap {NAIVE_CAP}")
     if n not in _PERM_CACHE:
         _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))))
     perms = _PERM_CACHE[n]
@@ -142,30 +150,23 @@ def build_perm_nfg(theta) -> NormalFactorGraph:
     return NormalFactorGraph(kind="snfg", num_nodes=2 * n, edges=edges, factors=factors)
 
 
-def perm_bethe(
-    theta,
-    *,
-    fp_tol: float = 1e-11,
-    max_iters: int = 20000,
-    damping: float | None = None,
-    seed: int = 0,
-    ds_tol: float = 1e-7,
-    consistency_rel: float = 1e-7,
-) -> PermResult:
+def perm_bethe(theta, *, seed: int = 0) -> PermResult:
     """Bethe approximation via the sum-product fixed point.
 
-    Runs the SPA on the permanent graph, reads the doubly stochastic
-    matrix off the edge beliefs, and evaluates exp(-F) with the Bethe
-    free energy of that matrix. The result is cross-checked against the
-    pseudo-dual value at the same fixed point. Damping defaults to
-    `spa.DAMPING_CYCLIC` for n >= 2, where the graph has cycles. No 2^n
-    row or column belief table is built.
+    Runs the SPA on the permanent graph to `BETHE_FP_TOL` within
+    `BETHE_MAX_ITERS` steps, reads the doubly stochastic matrix off the
+    edge beliefs (row and column sums within `DS_TOL` of 1), and evaluates
+    exp(-F) with the Bethe free energy of that matrix. The result must
+    agree with the pseudo-dual value at the same fixed point within
+    `CONSISTENCY_REL` relative. Damping is `spa.DAMPING_CYCLIC` for
+    n >= 2, where the graph has cycles. No 2^n row or column belief table
+    is built.
     """
     theta = check_matrix(theta)
     n = theta.shape[0]
     g = build_perm_nfg(theta)
     mu, report = spa.spa_run(
-        g, damping=damping, max_iters=max_iters, fp_tol=fp_tol, seed=seed
+        g, max_iters=BETHE_MAX_ITERS, fp_tol=BETHE_FP_TOL, seed=seed
     )
     if not report.converged:
         raise ConvergenceError(
@@ -181,11 +182,11 @@ def perm_bethe(
         float(np.abs(gamma.sum(axis=1) - 1).max()),
         float(np.abs(gamma.sum(axis=0) - 1).max()),
     )
-    if dev > ds_tol:
+    if dev > DS_TOL:
         raise NumericalError(f"edge-belief matrix off doubly stochastic by {dev:g}")
     value = math.exp(-coeffs.f_bethe(theta, gamma))
     dual = report.z_b_spa
-    if dual is None or abs(value - dual) > consistency_rel * max(abs(value), 1e-300):
+    if dual is None or abs(value - dual) > CONSISTENCY_REL * max(abs(value), 1e-300):
         raise NumericalError(
             f"free-energy value {value:g} disagrees with pseudo-dual {dual}"
         )
@@ -196,15 +197,16 @@ def perm_bethe(
     )
 
 
-def sinkhorn_scale(theta, tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS):
+def sinkhorn_scale(theta):
     """Alternate row/column normalization until the scaled matrix is
-    doubly stochastic within `tol`. Returns (gamma, r, c, iterations)."""
+    doubly stochastic within `SINKHORN_TOL`, for at most
+    `SINKHORN_MAX_ITERS` rounds. Returns (gamma, r, c, iterations)."""
     theta = check_matrix(theta)
     n = theta.shape[0]
     r = np.ones(n)
     c = np.ones(n)
     deviation = float("inf")
-    for it in range(1, max_iters + 1):
+    for it in range(1, SINKHORN_MAX_ITERS + 1):
         # every row/column has a positive entry, so the divisors stay positive
         r = 1.0 / (theta @ c)
         c = 1.0 / (theta.T @ r)
@@ -213,22 +215,20 @@ def sinkhorn_scale(theta, tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_M
             float(np.abs(scaled.sum(axis=1) - 1).max()),
             float(np.abs(scaled.sum(axis=0) - 1).max()),
         )
-        if deviation <= tol:
+        if deviation <= SINKHORN_TOL:
             return scaled, r, c, it
     raise ScalingFailureError(
-        f"matrix scaling stalled after {max_iters} iterations "
+        f"matrix scaling stalled after {SINKHORN_MAX_ITERS} iterations "
         f"(deviation {deviation:g})",
         residual=deviation,
     )
 
 
-def perm_sinkhorn_scaled(
-    theta, tol: float = SINKHORN_TOL, max_iters: int = SINKHORN_MAX_ITERS
-) -> PermResult:
+def perm_sinkhorn_scaled(theta) -> PermResult:
     """Scaled Sinkhorn approximation: exp(-F) at the scaled matrix, where
     the entropy term is -n - sum g*log(g)."""
     theta = check_matrix(theta)
-    gamma, r, c, iterations = sinkhorn_scale(theta, tol, max_iters)
+    gamma, r, c, iterations = sinkhorn_scale(theta)
     value = math.exp(-coeffs.f_scaled_sinkhorn(theta, gamma))
     return PermResult(
         value=value,
@@ -263,7 +263,9 @@ def _mth_root(power, M):
 
 def _coeff_sum(theta, M, coefficient):
     """Log-domain sum of theta^(M*gamma) * coefficient(gamma) over the
-    scaled doubly stochastic matrices supported on theta."""
+    scaled doubly stochastic matrices supported on theta. Every weight is
+    a positive product of factorial ratios; the sum is formed as scipy's
+    logsumexp forms it, without importing scipy.special."""
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     support = theta > 0
@@ -276,8 +278,12 @@ def _coeff_sum(theta, M, coefficient):
         weights.append(float(coefficient(gm)))
     if not logs:
         return 0.0
-    total, sign = logsumexp(logs, b=weights, return_sign=True)
-    return float(sign * math.exp(total))
+    logs, weights = np.array(logs), np.array(weights)
+    top = logs.max()
+    at_top = logs == top
+    m = (weights * at_top).sum()
+    s = np.where(at_top, 0.0, weights * np.exp(logs - top)).sum() / m
+    return math.exp(np.log1p(s) + np.log(m) + top)
 
 
 def perm_bethe_degree_m(
@@ -287,17 +293,20 @@ def perm_bethe_degree_m(
     *,
     seed: int = 0,
     samples: int = 2000,
-    lift_budget: int = LIFT_BUDGET,
 ) -> PermResult:
     """Degree-M Bethe permanent: the M-th root of the average permanent
     over all block-permutation liftings.
 
-    Modes: ``lift`` enumerates all (M!)^(n^2) liftings, ``mc`` samples
-    them, ``coeff`` evaluates the equivalent coefficient expansion
-    (exact, and usually far cheaper). ``auto`` = coeff.
+    A lifting is an M-cover of `build_perm_nfg(theta)`, its block (i, j)
+    the permutation of edge i*n + j, and its permanent is that cover's
+    partition function. Modes: ``lift`` enumerates all (M!)^(n^2)
+    liftings, at most `LIFT_BUDGET`, in the order of the covers module's
+    enumeration with no edge fixed; ``mc`` samples them from the covers
+    module's random covers; ``coeff`` evaluates the equivalent
+    coefficient expansion (exact, and usually far cheaper). ``auto`` =
+    coeff.
     """
     theta = check_matrix(theta)
-    n = theta.shape[0]
     if M < 1:
         raise ValidationError("M must be >= 1")
     if mode == "auto":
@@ -309,55 +318,41 @@ def perm_bethe_degree_m(
             method="degree-m-bethe-coeff",
             aux={"power": power},
         )
+    if mode not in ("lift", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    g = build_perm_nfg(theta)
     if mode == "lift":
-        mfact = math.factorial(M)
-        count = mfact ** (n * n)
-        if count > lift_budget:
+        count = math.factorial(M) ** g.num_edges
+        if count > LIFT_BUDGET:
             raise ResourceError(
-                f"{count} liftings exceed the budget {lift_budget}; "
+                f"{count} liftings exceed the budget {LIFT_BUDGET}; "
                 "use coeff or mc mode"
             )
-        # lifting k assigns block p the permutation with index digit p of
-        # k in base M!, block 0 most significant: itertools.product order
-        table = np.array(list(itertools.permutations(range(M))))
-        place = mfact ** np.arange(n * n - 1, -1, -1)
-        acc = Moments()
-        for start in range(0, count, LIFT_CHUNK):
-            k = np.arange(start, min(start + LIFT_CHUNK, count))
-            blocks = table[k[:, None] // place % mfact]
-            acc.add(_ryser(_lifted_matrices(theta, blocks)))
-        power = acc.mean
-        return PermResult(
-            value=_mth_root(power, M),
-            method="degree-m-bethe-lift",
-            aux={"power": power, "liftings": count},
-        )
-    if mode == "mc":
+        liftings = covers._enumerate_covers(g, M, range(g.num_edges))
+    else:
         if samples < 1:
             raise ValidationError("samples must be >= 1")
-        rng = seeded_rng(seed, 0)
-        acc = Moments()
-        for start in range(0, samples, LIFT_CHUNK):
-            k = min(LIFT_CHUNK, samples - start)
-            draws = [rng.permutation(M) for _ in range(k * n * n)]
-            acc.add(_ryser(_lifted_matrices(theta, np.reshape(draws, (k, n * n, M)))))
-        power = acc.mean
-        return PermResult(
-            value=_mth_root(power, M),
-            method="degree-m-bethe-mc",
-            aux={"power": power, "stderr": acc.stderr, "samples": samples},
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        liftings = covers._random_covers(g, M, samples, seed)
+    acc = Moments()
+    while chunk := list(itertools.islice(liftings, covers.CHUNK)):
+        acc.add(_ryser(_lifted_matrices(theta, np.array(chunk))))
+    power = acc.mean
+    if mode == "lift":
+        aux = {"power": power, "liftings": count}
+    else:
+        aux = {"power": power, "stderr": acc.stderr, "samples": samples}
+    return PermResult(
+        value=_mth_root(power, M), method=f"degree-m-bethe-{mode}", aux=aux
+    )
 
 
-def perm_sinkhorn_degree_m(
-    theta, M: int, *, crosscheck: str = "auto", crosscheck_rel: float = 1e-10
-) -> PermResult:
+def perm_sinkhorn_degree_m(theta, M: int, *, crosscheck: str = "auto") -> PermResult:
     """Degree-M scaled Sinkhorn permanent: the M-th root of the permanent
     of theta Kronecker the MxM all-(1/M) matrix.
 
     When cheap, the coefficient expansion is evaluated as an independent
-    cross-check of the same value.
+    cross-check of the same value, which must agree within
+    `CROSSCHECK_REL` relative.
     """
     theta = check_matrix(theta)
     n = theta.shape[0]
@@ -375,7 +370,7 @@ def perm_sinkhorn_degree_m(
         # the inclusion-exclusion sum cancels down from terms of size
         # ~ prod(row sums), so grant an absolute floor at that scale
         floor = 1e-13 * float(np.prod(lifted.sum(axis=1))) if n * M else 0.0
-        if abs(other - power) > crosscheck_rel * abs(power) + floor:
+        if abs(other - power) > CROSSCHECK_REL * abs(power) + floor:
             raise NumericalError(
                 f"Kronecker value {power:g} disagrees with coefficient sum {other:g}"
             )
@@ -411,14 +406,14 @@ def cycle_count(sigma1, sigma2) -> int:
     return count
 
 
-def perm_ratio_degree2(theta, cap: int = 7) -> float:
+def perm_ratio_degree2(theta) -> float:
     """perm / degree-2 Bethe permanent from the pair-of-permutations sum:
     the inverse square root of E[2^(-cycles)] under the matrix-induced
-    permutation distribution."""
+    permutation distribution, for n up to `PAIR_CAP`."""
     theta = check_matrix(theta)
     n = theta.shape[0]
-    if n > cap:
-        raise ResourceError(f"n = {n} exceeds the pair-enumeration cap {cap}")
+    if n > PAIR_CAP:
+        raise ResourceError(f"n = {n} exceeds the pair-enumeration cap {PAIR_CAP}")
     perms = list(itertools.permutations(range(n)))
     weights = np.array([float(np.prod(theta[np.arange(n), p])) for p in perms])
     total_weight = weights.sum()

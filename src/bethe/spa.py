@@ -43,7 +43,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .nfg import NormalFactorGraph
+from .nfg import PSD_TOL, NormalFactorGraph
 from .rng import seeded_rng
 
 __all__ = [
@@ -255,9 +255,10 @@ class _Layout:
             ]
         return z_edges, z_nodes
 
-    def check(self, X: np.ndarray, psd_tol: float):
+    def check(self, X: np.ndarray):
         """Raise unless every message in X[n, L] keeps its structure:
-        non-negative (classical) or a Hermitian PSD matrix (double-edge)."""
+        non-negative (classical) or a Hermitian PSD matrix within
+        `nfg.PSD_TOL` (double-edge)."""
         if self.g.is_classical:
             if X.size and X.min() < -1e-12:
                 raise NumericalError(f"negative classical message entry {X.min():g}")
@@ -266,10 +267,10 @@ class _Layout:
             d = int(round(np.sqrt(a.shape[1])))
             c = X.take(np.concatenate([a, b]).reshape(-1, d, d), axis=1)
             ch = np.swapaxes(c, -1, -2).conj()
-            if np.abs(c - ch).max() > psd_tol:
+            if np.abs(c - ch).max() > PSD_TOL:
                 raise NumericalError("message lost Hermitian structure")
             low = float(np.linalg.eigvalsh((c + ch) / 2).min())
-            if low < -psd_tol:
+            if low < -PSD_TOL:
                 raise NumericalError(f"message lost PSD structure (min eig {low:g})")
 
 
@@ -294,7 +295,6 @@ def _run_batch(
     max_iters,
     fp_tol,
     debug_checks=False,
-    psd_tol=1e-9,
 ):
     """Iterate every row of X[R, L] in place to a fixed point; row r
     re-randomizes from stream `streams[r]`. Returns one report per row."""
@@ -326,7 +326,7 @@ def _run_batch(
         if damping > 0:
             new = (1 - damping) * new + damping * old
         if debug_checks:
-            layout.check(new, psd_tol)
+            layout.check(new)
         res = np.abs(new - old).max(axis=1, initial=0.0)
         X[active] = new
         residual[active] = res
@@ -367,7 +367,6 @@ def spa_run(
     seed: int = 0,
     rng_stream: int = 0,
     debug_checks: bool = False,
-    psd_tol: float = 1e-9,
 ):
     """Iterate the sum-product update to a fixed point.
 
@@ -386,15 +385,14 @@ def spa_run(
         max_iters=max_iters,
         fp_tol=fp_tol,
         debug_checks=debug_checks,
-        psd_tol=psd_tol,
     )
     return layout.unpack(X[0]), report
 
 
-def _pseudo_dual(g, z_nodes, z_edges, z_zero_tol=Z_ZERO_TOL, z_imag_tol=Z_IMAG_TOL):
+def _pseudo_dual(g, z_nodes, z_edges):
     """`pseudo_dual_bethe` from the normalizers of one message vector."""
     for pos, z_e in enumerate(z_edges):
-        if abs(z_e) <= z_zero_tol:
+        if abs(z_e) <= Z_ZERO_TOL:
             raise DegenerateFixedPointError(
                 f"edge {g.edges[pos].id} has vanishing normalizer; the "
                 "pseudo-dual Bethe value is undefined at this fixed point"
@@ -407,30 +405,25 @@ def _pseudo_dual(g, z_nodes, z_edges, z_zero_tol=Z_ZERO_TOL, z_imag_tol=Z_IMAG_T
     if g.is_classical:
         return float(value)
     value = complex(value)
-    if abs(value.imag) > z_imag_tol * (1.0 + abs(value)):
+    if abs(value.imag) > Z_IMAG_TOL * (1.0 + abs(value)):
         raise NumericalError(
             f"pseudo-dual Bethe value has |imag| = {abs(value.imag):g}"
         )
     return value.real
 
 
-def pseudo_dual_bethe(
-    g: NormalFactorGraph,
-    mu: MessageVector,
-    *,
-    z_zero_tol: float = Z_ZERO_TOL,
-    z_imag_tol: float = Z_IMAG_TOL,
-):
+def pseudo_dual_bethe(g: NormalFactorGraph, mu: MessageVector):
     """Product of node normalizers over edge normalizers at `mu`.
 
     Scaling-invariant in every single message. Raises when some edge
-    normalizer vanishes (the value is undefined there). Double-edge
-    results are real up to numerical noise; the imaginary residue is
-    discarded after a tolerance check.
+    normalizer is within `Z_ZERO_TOL` of zero (the value is undefined
+    there). Double-edge results are real up to numerical noise; the
+    imaginary residue is discarded once it is within `Z_IMAG_TOL`
+    relative.
     """
     layout = _Layout(g)
     z_edges, z_nodes = layout.normalizers(layout.pack(mu)[None])
-    return _pseudo_dual(g, list(z_nodes[0]), list(z_edges[0]), z_zero_tol, z_imag_tol)
+    return _pseudo_dual(g, list(z_nodes[0]), list(z_edges[0]))
 
 
 def beliefs(g: NormalFactorGraph, mu: MessageVector) -> Beliefs:

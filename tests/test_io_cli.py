@@ -408,3 +408,16 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("exact,1")
+
+
+def test_import_loads_no_scipy_sparse_or_special():
+    # only perm.check_matrix needs scipy.sparse, and imports it itself
+    code = (
+        "import sys, bethe.cli, bethe.gct, bethe.sst\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.sparse', 'scipy.special'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

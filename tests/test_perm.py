@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethe.coeffs import perm_float
+from bethe.covers import degree_m_bethe
 from bethe.errors import NumericalError, ResourceError, ValidationError
 from bethe.nfg import partition_function_exact
 from bethe.perm import (
@@ -199,6 +200,15 @@ class TestDegreeM:
             a = perm_bethe_degree_m(theta, M, "lift")
             c = perm_bethe_degree_m(theta, M, "coeff")
             assert a.value == pytest.approx(c.value, rel=1e-12)
+
+    @pytest.mark.parametrize("n, M", [(2, 2), (2, 3)])
+    def test_lift_power_is_the_cover_average(self, n, M):
+        # a lifting is an M-cover of the permanent graph, its permanent
+        # that cover's partition function
+        theta = seeded_rng(18, n * 10 + M).uniform(size=(n, n)) + 0.05
+        lift = perm_bethe_degree_m(theta, M, "lift").aux["power"]
+        cover = degree_m_bethe(build_perm_nfg(theta), M, "gauge").mean_power
+        assert lift == pytest.approx(cover, rel=1e-12)
 
     def test_kron_equals_coeff(self):
         rng = seeded_rng(12, 0)
