@@ -64,8 +64,9 @@ class PermResult:
 
 
 def check_matrix(theta) -> np.ndarray:
-    """Validate a square non-negative matrix with at least one supporting
-    permutation (positive diagonal after column permutation)."""
+    """Validate a square, finite, non-negative matrix with at least one
+    supporting permutation (positive diagonal after column permutation).
+    Every public function that takes a matrix runs this once."""
     # imported here so that importing the library does not load scipy.sparse
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -73,6 +74,8 @@ def check_matrix(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ValidationError("matrix must be square")
+    if not np.isfinite(theta).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
     if theta.size and theta.min() < 0:
         raise ValidationError(f"negative entry {theta.min():g}")
     n = theta.shape[0]
@@ -130,7 +133,10 @@ def build_perm_nfg(theta) -> NormalFactorGraph:
     """Bipartite graph whose partition function is perm(theta): one node
     per row and per column, a binary edge per cell, each factor supported
     on the unit indicator rows with value sqrt(theta)."""
-    theta = check_matrix(theta)
+    return _perm_nfg(check_matrix(theta))
+
+
+def _perm_nfg(theta):
     n = theta.shape[0]
     edges = [
         EdgeDecl(id=i * n + j, endpoints=(i, n + j), alphabet_size=2)
@@ -164,7 +170,7 @@ def perm_bethe(theta, *, seed: int = 0) -> PermResult:
     """
     theta = check_matrix(theta)
     n = theta.shape[0]
-    g = build_perm_nfg(theta)
+    g = _perm_nfg(theta)
     mu, report = spa.spa_run(
         g, max_iters=BETHE_MAX_ITERS, fp_tol=BETHE_FP_TOL, seed=seed
     )
@@ -201,7 +207,10 @@ def sinkhorn_scale(theta):
     """Alternate row/column normalization until the scaled matrix is
     doubly stochastic within `SINKHORN_TOL`, for at most
     `SINKHORN_MAX_ITERS` rounds. Returns (gamma, r, c, iterations)."""
-    theta = check_matrix(theta)
+    return _sinkhorn(check_matrix(theta))
+
+
+def _sinkhorn(theta):
     n = theta.shape[0]
     r = np.ones(n)
     c = np.ones(n)
@@ -228,7 +237,7 @@ def perm_sinkhorn_scaled(theta) -> PermResult:
     """Scaled Sinkhorn approximation: exp(-F) at the scaled matrix, where
     the entropy term is -n - sum g*log(g)."""
     theta = check_matrix(theta)
-    gamma, r, c, iterations = sinkhorn_scale(theta)
+    gamma, r, c, iterations = _sinkhorn(theta)
     value = math.exp(-coeffs.f_scaled_sinkhorn(theta, gamma))
     return PermResult(
         value=value,
@@ -320,7 +329,7 @@ def perm_bethe_degree_m(
         )
     if mode not in ("lift", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    g = build_perm_nfg(theta)
+    g = _perm_nfg(theta)
     if mode == "lift":
         count = math.factorial(M) ** g.num_edges
         if count > LIFT_BUDGET:

@@ -43,7 +43,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .nfg import PSD_TOL, NormalFactorGraph
+from .nfg import PSD_TOL, Z_IMAG_TOL, NormalFactorGraph
 from .rng import seeded_rng
 
 __all__ = [
@@ -67,7 +67,6 @@ FP_TOL = 1e-10
 MAX_ITERS = 10000
 DAMPING_CYCLIC = 0.3
 Z_ZERO_TOL = 1e-13
-Z_IMAG_TOL = 1e-10
 NEAR_ZERO_SUM = 1e-12
 
 

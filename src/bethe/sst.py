@@ -8,7 +8,11 @@ the degree-M Bethe partition function exactly; its node tables are
 built one cover copy at a time (method of types), never as M-fold lifts.
 Replacing P_e by its integral representation over uniformly random
 complex unit vectors gives an unbiased Monte Carlo estimator of the
-same quantity.
+same quantity. The estimator densifies each node table once per call,
+after checking its size against `MAX_TABLE_ENTRIES`, and evaluates the
+integrand `MC_BLOCK` samples at a time: one matrix product against the
+last incident edge's vectors, then one batched contraction per further
+edge. Its cost is dominated by drawing the unit vectors.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ __all__ = [
 ]
 
 PE_DENSE_CAP = 64  # largest d^M for which P_e may be materialized densely
-MC_CHUNK = 1 << 14
+MAX_TABLE_ENTRIES = 2**24  # entry budget of the tables either route builds
+MC_CHUNK = 1 << 14  # samples per generator stream and per Moments update
+MC_BLOCK = 1 << 11  # samples per integrand evaluation
 
 
 @dataclass
@@ -159,7 +165,7 @@ def _aggregated_node_table(table, steps, M):
 
 
 def zbm_via_pe(
-    g: NormalFactorGraph, M: int, *, max_table_entries: int = 2**24
+    g: NormalFactorGraph, M: int, *, max_table_entries: int = MAX_TABLE_ENTRIES
 ) -> float:
     """Degree-M Bethe partition function from the type-aggregated
     average-cover network (exact; no cover enumeration).
@@ -212,15 +218,17 @@ def fubini_study_sample(d: int, rng) -> np.ndarray:
     real/imaginary parts."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    w = rng.standard_normal((d, 2))
-    w /= np.linalg.norm(w)
-    return w[:, 0] + 1j * w[:, 1]
+    return _fs_batch(d, 1, rng)[0]
 
 
 def _fs_batch(d, count, rng):
+    """[count, d] uniformly random complex unit vectors: 2d standard
+    normals per row, normalized as `np.linalg.norm` would (without its
+    overhead), then read in place as real/imaginary pairs."""
     w = rng.standard_normal((count, d, 2))
-    w /= np.linalg.norm(w.reshape(count, -1), axis=1)[:, None, None]
-    return w[..., 0] + 1j * w[..., 1]
+    flat = w.reshape(count, -1)
+    w /= np.sqrt(np.add.reduce(flat * flat, axis=1))[:, None, None]
+    return w.view(complex)[..., 0]
 
 
 def phi_integral_mc(
@@ -268,6 +276,50 @@ def phi_integral_mc(
     return _estimate(acc)
 
 
+def _mc_plan(g: NormalFactorGraph):
+    """Per node: its dense complex table as a [c_last, rest] matrix over
+    its last incident edge, its incident edge positions, and whether each
+    enters conjugated (at its upper endpoint). Each table, and all of them
+    together, are checked against `MAX_TABLE_ENTRIES` before any is
+    built. Also returns the rows per block, capped so that no
+    [rows, rest] intermediate exceeds the budget either."""
+    sizes = [math.prod(map(g.var_card, g.incident(node))) for node in range(g.num_nodes)]
+    for node, size in enumerate(sizes):
+        if size > MAX_TABLE_ENTRIES:
+            raise ResourceError(
+                f"node {node}: dense table with {size} entries exceeds "
+                f"the budget {MAX_TABLE_ENTRIES}"
+            )
+    if sum(sizes) > MAX_TABLE_ENTRIES:
+        raise ResourceError(
+            f"dense tables with {sum(sizes)} entries in all exceed "
+            f"the budget {MAX_TABLE_ENTRIES}"
+        )
+    plan = []
+    for node in range(g.num_nodes):
+        inc = g.incident(node)
+        table = g.factors[node].as_dense(complex)
+        conj = [node != g.edges[pos].endpoints[0] for pos in inc]
+        plan.append((table.reshape(-1, table.shape[-1]).T, inc, conj))
+    return plan, min(MC_BLOCK, MAX_TABLE_ENTRIES // max(sizes, default=1))
+
+
+def _integrand(plan, psi, rows, M, flip):
+    """prod over nodes of z_node ** M for one block of `rows` samples,
+    where z_node contracts the node's table with its edges' vectors.
+    `psi[pos]` holds the block's vectors of edge pos and their conjugates;
+    each node takes the conjugates where the plan says so, or where it
+    does not if `flip`."""
+    prod = np.ones(rows, dtype=complex)
+    for matrix, inc, conj in plan:
+        vecs = [psi[pos][c != flip] for pos, c in zip(inc, conj)]
+        z_node = vecs[-1] @ matrix
+        for v in reversed(vecs[:-1]):
+            z_node = np.einsum("zrs,zs->zr", z_node.reshape(rows, -1, v.shape[1]), v)
+        prod *= z_node.reshape(-1) ** M
+    return prod
+
+
 def zbm_via_sst_mc(
     g: NormalFactorGraph, M: int, samples: int, seed: int, *, symmetrize: bool = False
 ) -> McEstimate:
@@ -275,30 +327,21 @@ def zbm_via_sst_mc(
     partition function via the unit-vector integral. The returned mean
     estimates zbm_via_pe(g, M) ** M; the imaginary residue of the raw
     average is reported as a sanity statistic. `symmetrize` averages each
-    draw with its conjugate (see phi_integral_mc)."""
+    draw with its conjugate (see phi_integral_mc).
+
+    Each node's table is densified once per call, after every table has
+    been checked against `MAX_TABLE_ENTRIES`. Each chunk of `MC_CHUNK`
+    samples draws its vectors from its own generator stream, edge by
+    edge, and is evaluated `MC_BLOCK` rows at a time (fewer if a table is
+    so large that a block's intermediate would exceed the budget)."""
     if M < 1:
         raise ValidationError("M must be >= 1")
     if samples < 1:
         raise ValidationError("need at least one sample")
+    plan, rows = _mc_plan(g)
     prefactor = 1.0
     for pos in range(g.num_edges):
         prefactor *= num_types(g.var_card(pos), M)
-
-    def integrand(psi):
-        prod = np.ones(len(next(iter(psi.values()))), dtype=complex)
-        for node in range(g.num_nodes):
-            inc = g.incident(node)
-            table = g.factors[node].as_dense(complex)
-            k = len(inc)
-            args = [table, list(range(1, k + 1))]
-            for axis, pos in enumerate(inc):
-                i, _ = g.edges[pos].endpoints
-                vecs = psi[pos] if node == i else psi[pos].conj()
-                args.extend([vecs, [0, axis + 1]])
-            args.append([0])
-            z_node = np.einsum(*args, optimize=True)
-            prod = prod * z_node**M
-        return prod
 
     acc = Moments()
     for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
@@ -308,10 +351,14 @@ def zbm_via_sst_mc(
             pos: _fs_batch(g.var_card(pos), count, rng)
             for pos in range(g.num_edges)
         }
-        vals = integrand(psi)
-        if symmetrize:
-            conj_psi = {pos: arr.conj() for pos, arr in psi.items()}
-            vals = (vals + integrand(conj_psi)) / 2.0
+        vals = np.empty(count, dtype=complex)
+        for lo in range(0, count, rows):
+            part = slice(lo, min(lo + rows, count))
+            block = {pos: (v[part], v[part].conj()) for pos, v in psi.items()}
+            n = part.stop - lo
+            vals[part] = _integrand(plan, block, n, M, False)
+            if symmetrize:
+                vals[part] = (vals[part] + _integrand(plan, block, n, M, True)) / 2.0
         acc.add(prefactor * vals)
     return _estimate(acc)
 

@@ -277,6 +277,17 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("method", ["exact", "bethe", "scs", "degree-m"])
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_matrix_exit_code(self, tmp_path, capsys, entry, method):
+        mat = tmp_path / "m.csv"
+        mat.write_text(f"1,{entry}\n2,3\n")
+        # main returns instead of raising, so no traceback reaches stderr
+        code = main(["perm", "--matrix", str(mat), "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.out == ""
+
     @pytest.mark.parametrize("command", ["perm", "sst", "covers"])
     def test_degree_zero_exit_code(self, tmp_path, command):
         if command == "perm":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bethe import perm as perm_module
 from bethe.coeffs import perm_float
 from bethe.covers import degree_m_bethe
 from bethe.errors import NumericalError, ResourceError, ValidationError
@@ -94,6 +95,38 @@ class TestMatrixChecks:
 
     def test_structural_zero_ok_with_support(self):
         check_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            check_matrix(np.array([[1.0, entry], [2.0, 3.0]]))
+
+    def test_runs_once_per_public_call(self, monkeypatch):
+        calls = []
+
+        def counted(theta):
+            calls.append(1)
+            return check_matrix(theta)
+
+        monkeypatch.setattr(perm_module, "check_matrix", counted)
+        theta = np.array([[1.0, 2.0], [3.0, 4.0]])
+        public_calls = {
+            "build_perm_nfg": lambda: perm_module.build_perm_nfg(theta),
+            "perm_bethe": lambda: perm_module.perm_bethe(theta),
+            "sinkhorn_scale": lambda: perm_module.sinkhorn_scale(theta),
+            "perm_sinkhorn_scaled": lambda: perm_module.perm_sinkhorn_scaled(theta),
+            "degree_m coeff": lambda: perm_module.perm_bethe_degree_m(theta, 2, "coeff"),
+            "degree_m lift": lambda: perm_module.perm_bethe_degree_m(theta, 2, "lift"),
+            "degree_m mc": lambda: perm_module.perm_bethe_degree_m(
+                theta, 2, "mc", samples=10
+            ),
+            "perm_sinkhorn_degree_m": lambda: perm_module.perm_sinkhorn_degree_m(theta, 2),
+            "perm_ratio_degree2": lambda: perm_module.perm_ratio_degree2(theta),
+        }
+        for name, call in public_calls.items():
+            calls.clear()
+            call()
+            assert len(calls) == 1, name
 
 
 class TestPermGraph:

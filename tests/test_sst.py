@@ -9,9 +9,9 @@ from bethe.covers import degree_m_bethe
 from bethe import sst
 from bethe.errors import NumericalError, ResourceError, ValidationError
 from bethe.gct import random_denfg, random_snfg
-from bethe.nfg import partition_function_exact
+from bethe.nfg import LocalFunction, partition_function_exact
 from bethe.perm import build_perm_nfg, perm_bethe_degree_m
-from bethe.rng import seeded_rng
+from bethe.rng import Moments, seeded_rng
 from bethe.sst import (
     fubini_study_sample,
     gamma_identity_check,
@@ -245,6 +245,90 @@ class TestZbmViaSstMc:
         est = zbm_via_sst_mc(g, 2, samples=2 * 10**5, seed=7)
         assert abs(est.mean - exact) <= 4 * est.stderr
         assert abs(est.imag_mean) <= 4 * max(est.imag_stderr, 1e-9)
+
+
+def _einsum_reference(g, M, samples, seed, symmetrize):
+    """The estimator computed the plain way, on the same draws: one
+    einsum per node over each whole chunk, no plan and no row blocks."""
+
+    def integrand(psi):
+        prod = np.ones(len(next(iter(psi.values()))), dtype=complex)
+        for node in range(g.num_nodes):
+            inc = g.incident(node)
+            args = [g.factors[node].as_dense(complex), list(range(1, len(inc) + 1))]
+            for axis, pos in enumerate(inc):
+                vecs = psi[pos] if node == g.edges[pos].endpoints[0] else psi[pos].conj()
+                args.extend([vecs, [0, axis + 1]])
+            prod = prod * np.einsum(*args, [0], optimize=True) ** M
+        return prod
+
+    prefactor = math.prod(num_types(g.var_card(pos), M) for pos in range(g.num_edges))
+    acc = Moments()
+    for chunk_idx, start in enumerate(range(0, samples, sst.MC_CHUNK)):
+        count = min(sst.MC_CHUNK, samples - start)
+        rng = seeded_rng(seed, chunk_idx)
+        psi = {pos: sst._fs_batch(g.var_card(pos), count, rng) for pos in range(g.num_edges)}
+        vals = integrand(psi)
+        if symmetrize:
+            vals = (vals + integrand({pos: v.conj() for pos, v in psi.items()})) / 2.0
+        acc.add(prefactor * vals)
+    return acc
+
+
+class TestMcKernel:
+    GRAPHS = {
+        "fig1-double-edge": lambda: random_denfg("fig1", seed=3),
+        "fig5-classical": lambda: random_snfg("fig5", seed=4),
+        "theta-double-edge": lambda: random_denfg("theta", seed=5),
+        "two-node": lambda: two_node_graph([1.0, 0.5, 2.0], [1.5, 1.0, 0.2]),
+    }
+    # crosses a chunk boundary and, within the second chunk, a block boundary
+    SAMPLES = sst.MC_CHUNK + 2049
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_einsum_reference(self, name, symmetrize):
+        g = self.GRAPHS[name]()
+        est = zbm_via_sst_mc(g, 2, self.SAMPLES, seed=8, symmetrize=symmetrize)
+        ref = _einsum_reference(g, 2, self.SAMPLES, 8, symmetrize)
+        assert est.samples == ref.count
+        assert est.mean == pytest.approx(ref.mean.real, rel=1e-13)
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-13)
+        assert abs(est.imag_mean - ref.mean.imag) <= 1e-13 * abs(ref.mean)
+
+    def test_rows_capped_by_the_budget(self, monkeypatch):
+        # largest table 64 entries: a budget of 6400 allows 100 rows a block
+        g = random_denfg("fig1", seed=3)
+        monkeypatch.setattr(sst, "MAX_TABLE_ENTRIES", 6400)
+        assert sst._mc_plan(g)[1] == 100
+        est = zbm_via_sst_mc(g, 2, 3000, seed=9)
+        ref = _einsum_reference(g, 2, 3000, 9, False)
+        assert est.mean == pytest.approx(ref.mean.real, rel=1e-13)
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-13)
+
+    def test_budget_checked_before_any_table_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense table built before the budget check")
+
+        monkeypatch.setattr(LocalFunction, "as_dense", refuse)
+        g = build_perm_nfg(np.ones((25, 25)))  # row and column tables: 2^25 entries
+        with pytest.raises(ResourceError, match="node 0: .* 33554432 entries"):
+            zbm_via_sst_mc(g, 2, samples=10, seed=0)
+
+    def test_total_of_the_tables_is_budgeted(self, monkeypatch):
+        g = random_denfg("fig1", seed=3)  # tables of 64, 16, 16 and 64 entries
+        monkeypatch.setattr(sst, "MAX_TABLE_ENTRIES", 100)
+        with pytest.raises(ResourceError, match="160 entries in all"):
+            zbm_via_sst_mc(g, 2, samples=10, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 9])
+    def test_fs_batch_bit_identical_to_norm_and_pairing(self, d):
+        got = sst._fs_batch(d, 1000, seeded_rng(12, d))
+        w = seeded_rng(12, d).standard_normal((1000, d, 2))
+        w /= np.linalg.norm(w.reshape(1000, -1), axis=1)[:, None, None]
+        want = w[..., 0] + 1j * w[..., 1]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSymmetrization:
