@@ -132,6 +132,8 @@ def cmd_coeffs(args):
 def cmd_spa(args):
     start = time.monotonic()
     g = graphio.parse_graph_json(_read(args.graph))
+    if args.restarts < 0:
+        raise ValidationError(f"restarts {args.restarts} must be >= 0")
     if args.restarts > 0:
         mu, report = best_fixed_point(
             g,

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, ValidationError
 
 __all__ = [
     "GammaMatrix",
@@ -91,7 +91,10 @@ class GammaMatrix:
 def enumerate_gamma(n, M, support=None):
     """All integer matrices with row/column sums M, lexicographic in the
     flattened entries. `support` (boolean matrix) forces zeros outside it.
-    Raises ResourceError past `ENUM_BUDGET` matrices."""
+    Raises ValidationError at once unless n, M >= 1, and ResourceError
+    past `ENUM_BUDGET` matrices."""
+    if n < 1 or M < 1:
+        raise ValidationError(f"need n >= 1 and M >= 1, got n = {n}, M = {M}")
     if support is not None:
         support = [[bool(x) for x in row] for row in support]
     produced = 0
@@ -133,7 +136,7 @@ def enumerate_gamma(n, M, support=None):
             acc.pop()
             col_left[j] += v
 
-    yield from fill_row(0)
+    return fill_row(0)
 
 
 def enumerate_support_perms(gm: GammaMatrix):

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import ResourceError
 
-__all__ = ["contract_network", "min_fill_order"]
+__all__ = ["MAX_TABLE_ENTRIES", "contract_network", "min_fill_order"]
+
+MAX_TABLE_ENTRIES = 2**24  # entry budget of any table built from a graph
 
 
 def min_fill_order(scopes: Sequence[tuple[int, ...]]) -> list[int]:
@@ -81,7 +83,7 @@ def contract_network(
     cards: dict[int, int],
     *,
     order: Sequence[int] | None = None,
-    max_table_entries: int = 2**24,
+    max_table_entries: int = MAX_TABLE_ENTRIES,
 ):
     """Contract the network to a scalar: sum over all variables of the
     product of all factors.

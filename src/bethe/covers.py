@@ -8,6 +8,10 @@ partition function (`degree_m_root`, shared with the type-aggregated
 route in `sst`). Covers are averaged by one enumeration, which fixes the
 identity on a chosen set of edges (a spanning forest in gauge mode, no
 edge in exact mode), or by Monte Carlo over uniformly random covers.
+Both run through one loop, `_average`, which the block-permutation
+liftings of `perm.perm_bethe_degree_m` share: a lifting is an M-cover of
+the permanent's graph, evaluated by its Ryser permanent instead of by
+contraction.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .nfg import (
     LocalFunction,
     NormalFactorGraph,
     partition_function_exact,
+    spanning_forest,
 )
 from .rng import Moments, seeded_rng
 
@@ -39,6 +44,7 @@ EXACT_BUDGET = 10**5
 MC_SAMPLES = 2000
 CHUNK = 64  # covers evaluated per accumulator update; one rng stream each
 COVER_IMAG_TOL = 1e-9
+_METHOD = {"exact": "exact-enumeration", "gauge": "gauge-fixed-enumeration", "mc": "monte-carlo"}
 
 
 @dataclass(frozen=True)
@@ -106,30 +112,6 @@ def build_cover(g: NormalFactorGraph, spec: CoverSpec) -> NormalFactorGraph:
     )
 
 
-def spanning_forest(g: NormalFactorGraph) -> list[int]:
-    """Edge positions of a BFS spanning forest, components rooted at
-    their lowest node, edges explored in id order."""
-    visited = [False] * g.num_nodes
-    tree = []
-    for root in range(g.num_nodes):
-        if visited[root]:
-            continue
-        visited[root] = True
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for pos in g.incident(node):
-                    i, j = g.edges[pos].endpoints
-                    other = j if node == i else i
-                    if not visited[other]:
-                        visited[other] = True
-                        tree.append(pos)
-                        nxt.append(other)
-            frontier = nxt
-    return sorted(tree)
-
-
 def degree_m_root(power, M: int) -> tuple[float, float]:
     """(real power, power ** (1/M)) for an average partition function
     over degree-M covers. An imaginary part above
@@ -171,6 +153,29 @@ def _random_covers(g, M, samples, seed):
             )
 
 
+def _average(g, M, loose, budget, hint, samples, seed, evaluate) -> Moments:
+    """Moments of the values of M-covers of `g`: every cover with the
+    identity outside the edge positions `loose`, at most `budget` of them
+    (past it a ResourceError says to use `hint` mode), or, when `loose`
+    is None, `samples` random covers from `seed`. `evaluate` maps a list
+    of up to `CHUNK` covers' permutations to their values."""
+    if loose is None:
+        if samples < 1:
+            raise ValidationError("samples must be >= 1")
+        covers = _random_covers(g, M, samples, seed)
+    else:
+        count = math.factorial(M) ** len(loose)
+        if count > budget:
+            raise ResourceError(
+                f"{count} covers exceed the budget {budget}; use {hint} mode"
+            )
+        covers = _enumerate_covers(g, M, loose)
+    acc = Moments()
+    while chunk := list(itertools.islice(covers, CHUNK)):
+        acc.add(evaluate(chunk))
+    return acc
+
+
 def degree_m_bethe(
     g: NormalFactorGraph,
     M: int,
@@ -199,40 +204,21 @@ def degree_m_bethe(
         raise ValueError(f"unknown mode {mode!r}")
     fixed = set() if mode == "exact" else set(spanning_forest(g))
     loose = [pos for pos in range(g.num_edges) if pos not in fixed]
-    count = math.factorial(M) ** len(loose)
     if mode == "auto":
-        mode = "gauge" if count <= exact_budget else "mc"
+        mode = "gauge" if math.factorial(M) ** len(loose) <= exact_budget else "mc"
 
-    if mode == "mc":
-        if samples < 1:
-            raise ValidationError("samples must be >= 1")
-        covers = _random_covers(g, M, samples, seed)
-        method = "monte-carlo"
-    else:
-        if count > exact_budget:
-            fallback = "gauge or mc" if mode == "exact" else "mc"
-            raise ResourceError(
-                f"{mode} mode needs {count} covers (budget {exact_budget}); "
-                f"use {fallback} mode"
-            )
-        covers = _enumerate_covers(g, M, loose)
-        method = "exact-enumeration" if mode == "exact" else "gauge-fixed-enumeration"
+    def values(chunk):
+        graphs = [build_cover(g, CoverSpec(M, perms)) for perms in chunk]
+        return [partition_function_exact(c, check_strict=False) for c in graphs]
 
-    acc = Moments()
-    while chunk := list(itertools.islice(covers, CHUNK)):
-        acc.add(
-            [
-                partition_function_exact(
-                    build_cover(g, CoverSpec(M, perms)), check_strict=False
-                )
-                for perms in chunk
-            ]
-        )
+    hint = "gauge or mc" if mode == "exact" else "mc"
+    loose = None if mode == "mc" else loose
+    acc = _average(g, M, loose, exact_budget, hint, samples, seed, values)
     mean_power, value = degree_m_root(acc.mean, M)
     return DegreeMEstimate(
         M=M,
         value=value,
-        method=method,
+        method=_METHOD[mode],
         covers_evaluated=acc.count,
         mean_power=mean_power,
         stderr=acc.stderr if mode == "mc" else None,

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covers import degree_m_bethe
-from .errors import BetheError, DegenerateFixedPointError, ResourceError
+from .errors import BetheError, DegenerateFixedPointError, ResourceError, ValidationError
 from .lct import lct_transform
-from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph
+from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph, choi_to_table
 from .rng import seeded_rng
 from .spa import best_fixed_point
 from .sst import zbm_via_pe
@@ -66,12 +66,6 @@ class GctRecord:
     error: str | None = None
 
 
-def _edges_for(topology):
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; options: {sorted(TOPOLOGIES)}")
-    return TOPOLOGIES[topology]
-
-
 def random_denfg(topology: str = "fig1", alphabet: int = 2, seed: int = 0) -> NormalFactorGraph:
     """Strict-sense double-edge graph with independent random factors.
 
@@ -79,41 +73,26 @@ def random_denfg(topology: str = "fig1", alphabet: int = 2, seed: int = 0) -> No
     Gaussian square matrix, normalized to unit trace, so it is PSD by
     construction and the graph passes the strict-sense validation for
     every seed."""
-    num_nodes, pairs = _edges_for(topology)
     rng = seeded_rng(seed, 0)
-    edges = [
-        EdgeDecl(id=k, endpoints=pair, alphabet_size=alphabet)
-        for k, pair in enumerate(pairs)
-    ]
-    factors = []
-    for node, deg in enumerate(_degrees(num_nodes, edges)):
+
+    def table(deg):
         dim = alphabet**deg
         gmat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         choi = gmat @ gmat.conj().T
         choi /= np.trace(choi).real
-        table = _choi_to_table(choi, [alphabet] * deg)
-        factors.append(LocalFunction(node=node, shape=table.shape, dense=table))
-    return NormalFactorGraph(
-        kind="denfg", num_nodes=num_nodes, edges=edges, factors=factors
-    )
+        return choi_to_table(choi, [alphabet] * deg)
+
+    return _random_graph(topology, "denfg", alphabet, table)
 
 
 def random_snfg(topology: str = "fig1", alphabet: int = 2, seed: int = 0) -> NormalFactorGraph:
     """Classical graph with independent uniform (0, 1] factor entries."""
-    num_nodes, pairs = _edges_for(topology)
     rng = seeded_rng(seed, 0)
-    edges = [
-        EdgeDecl(id=k, endpoints=pair, alphabet_size=alphabet)
-        for k, pair in enumerate(pairs)
-    ]
-    factors = []
-    for node, deg in enumerate(_degrees(num_nodes, edges)):
-        shape = (alphabet,) * deg
-        table = 1.0 - rng.uniform(size=shape)  # strictly positive
-        factors.append(LocalFunction(node=node, shape=shape, dense=table))
-    return NormalFactorGraph(
-        kind="snfg", num_nodes=num_nodes, edges=edges, factors=factors
-    )
+
+    def table(deg):
+        return 1.0 - rng.uniform(size=(alphabet,) * deg)  # strictly positive
+
+    return _random_graph(topology, "snfg", alphabet, table)
 
 
 def near_product_denfg(
@@ -132,14 +111,9 @@ def near_product_denfg(
     condition-satisfying branch of the experiment non-vacuous. Every edge
     has `NEAR_PRODUCT_ALPHABET` symbols."""
     alphabet = NEAR_PRODUCT_ALPHABET
-    num_nodes, pairs = _edges_for(topology)
     rng = seeded_rng(seed, 1)
-    edges = [
-        EdgeDecl(id=k, endpoints=pair, alphabet_size=alphabet)
-        for k, pair in enumerate(pairs)
-    ]
-    factors = []
-    for node, deg in enumerate(_degrees(num_nodes, edges)):
+
+    def table(deg):
         dim = alphabet**deg
         choi = np.ones((1, 1), dtype=complex)
         for _ in range(deg):
@@ -155,28 +129,27 @@ def near_product_denfg(
             noise = noise @ noise.conj().T
             choi = (1 - coupling) * choi + coupling * noise / np.trace(noise).real
         choi /= np.trace(choi).real
-        table = _choi_to_table(choi, [alphabet] * deg)
-        factors.append(LocalFunction(node=node, shape=table.shape, dense=table))
-    return NormalFactorGraph(
-        kind="denfg", num_nodes=num_nodes, edges=edges, factors=factors
-    )
+        return choi_to_table(choi, [alphabet] * deg)
+
+    return _random_graph(topology, "denfg", alphabet, table)
 
 
-def _degrees(num_nodes, edges):
-    degree = [0] * num_nodes
-    for e in edges:
-        for v in e.endpoints:
-            degree[v] += 1
-    return degree
-
-
-def _choi_to_table(choi, dims):
-    """Invert the Choi view: table axes are per-edge symbol pairs."""
-    k = len(dims)
-    big = int(np.prod(dims))
-    split = choi.reshape(dims + dims)
-    perm = [a for pair in zip(range(k), range(k, 2 * k)) for a in pair]
-    return split.transpose(perm).reshape([d * d for d in dims])
+def _random_graph(topology, kind, alphabet, table):
+    """The graph of a named topology with every edge over `alphabet`
+    symbols; node tables come from `table(degree)`, called once per node
+    in node order."""
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}; options: {sorted(TOPOLOGIES)}")
+    num_nodes, pairs = TOPOLOGIES[topology]
+    edges = [
+        EdgeDecl(id=k, endpoints=pair, alphabet_size=alphabet)
+        for k, pair in enumerate(pairs)
+    ]
+    factors = []
+    for node in range(num_nodes):
+        values = table(sum(node in pair for pair in pairs))
+        factors.append(LocalFunction(node=node, shape=values.shape, dense=values))
+    return NormalFactorGraph(kind=kind, num_nodes=num_nodes, edges=edges, factors=factors)
 
 
 def check_condition(
@@ -238,6 +211,11 @@ def convergence_experiment(
     whose aggregated tables exceed the budget falls back to Monte Carlo
     over `mc_samples` random covers and records its standard error.
     Per-graph failures are recorded and the run continues."""
+    if min(n_graphs, M_max, mc_samples) < 1:
+        raise ValidationError(
+            "need n_graphs, M_max and mc_samples >= 1, "
+            f"got {n_graphs}, {M_max} and {mc_samples}"
+        )
     records = []
     for idx in range(n_graphs):
         graph_seed = seed + idx

@@ -14,6 +14,10 @@ serialized as [re, im]. Sparse configs list one entry per incident edge:
 a plain symbol for classical graphs, a two-element [x, xp] pair for
 double-edge graphs.
 
+Every integer field goes through one checked reader and every table
+value through another; each rejects bool, non-integral or non-numeric
+input, NaN and inf with a ValidationError naming the JSON path.
+
 CSV floats are written with 17 significant digits so emitted values
 round-trip exactly.
 """
@@ -44,18 +48,39 @@ def _fail(path, message):
     raise ValidationError(f"{message} at {path}")
 
 
+def _read_int(raw, path, below=None):
+    """A JSON integer (an integral float counts), in [0, below) when
+    `below` is given; bool, non-integral and non-numeric input fail."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        _fail(path, f"need an integer, got {raw!r}")
+    if below is not None and not 0 <= raw < below:
+        _fail(path, f"symbol {raw} outside [0, {below})")
+    return raw
+
+
+def _read_real(raw, path):
+    """A finite JSON number as a float; bool, non-numeric input, NaN, inf
+    and integers beyond float range fail."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    _fail(path, f"need a finite number, got {raw!r}")
+
+
 def _parse_value(raw, kind, path):
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(x, (int, float)) for x in raw)
-    ):
+    """A table value: a real number, or an [re, im] pair in a double-edge
+    graph."""
+    if isinstance(raw, list) and len(raw) == 2:
         if kind == "snfg":
             _fail(path, "classical graphs take plain real values")
-        return complex(raw[0], raw[1])
-    _fail(path, f"bad value {raw!r}")
+        return complex(_read_real(raw[0], f"{path}/0"), _read_real(raw[1], f"{path}/1"))
+    return _read_real(raw, path)
 
 
 def parse_graph_json(text: str) -> NormalFactorGraph:
@@ -77,19 +102,18 @@ def parse_graph_json(text: str) -> NormalFactorGraph:
         path = f"/edges/{k}"
         if not isinstance(re_, dict):
             _fail(path, "edge must be an object")
-        try:
-            ends = re_["endpoints"]
-            edges.append(
-                EdgeDecl(
-                    id=int(re_["id"]),
-                    endpoints=(int(ends[0]), int(ends[1])),
-                    alphabet_size=int(re_["alphabet"]),
-                )
+        ends = re_.get("endpoints")
+        if not isinstance(ends, list) or len(ends) != 2:
+            _fail(f"{path}/endpoints", f"need two endpoints, got {ends!r}")
+        edges.append(
+            EdgeDecl(
+                id=_read_int(re_.get("id"), f"{path}/id"),
+                endpoints=tuple(
+                    _read_int(v, f"{path}/endpoints/{i}") for i, v in enumerate(ends)
+                ),
+                alphabet_size=_read_int(re_.get("alphabet"), f"{path}/alphabet"),
             )
-        except ValidationError:
-            raise
-        except Exception:
-            _fail(path, f"bad edge {re_!r}")
+        )
     raw_factors = doc.get("factors")
     if not isinstance(raw_factors, list):
         _fail("/factors", "need a factor list")
@@ -104,7 +128,7 @@ def parse_graph_json(text: str) -> NormalFactorGraph:
         path = f"/factors/{k}"
         if not isinstance(rf, dict) or "node" not in rf:
             _fail(path, "factor must be an object with a node id")
-        node = int(rf["node"])
+        node = _read_int(rf["node"], f"{path}/node")
         if node not in incident:
             _fail(f"{path}/node", f"node {node} has no incident edges")
         dims = []
@@ -128,24 +152,27 @@ def parse_graph_json(text: str) -> NormalFactorGraph:
             table = np.array(values, dtype=dtype).reshape(shape)
             factors.append(LocalFunction(node=node, shape=shape, dense=table))
         elif "sparse" in rf:
+            if not isinstance(rf["sparse"], list):
+                _fail(f"{path}/sparse", "need a list of entries")
             entries = {}
             for i, item in enumerate(rf["sparse"]):
                 ipath = f"{path}/sparse/{i}"
+                if not isinstance(item, dict):
+                    _fail(ipath, "sparse entry must be an object")
                 cfg_raw = item.get("config")
                 if not isinstance(cfg_raw, list) or len(cfg_raw) != len(shape):
                     _fail(f"{ipath}/config", "config length must match the degree")
                 cfg = []
                 for axis, sym in enumerate(cfg_raw):
                     d = edges[incident[node][axis]].alphabet_size
+                    spath = f"{ipath}/config/{axis}"
                     if kind == "snfg":
-                        cfg.append(int(sym))
+                        cfg.append(_read_int(sym, spath, d))
                     else:
                         if not isinstance(sym, list) or len(sym) != 2:
-                            _fail(
-                                f"{ipath}/config/{axis}",
-                                "double-edge symbols are [x, xp] pairs",
-                            )
-                        cfg.append(int(sym[0]) * d + int(sym[1]))
+                            _fail(spath, "double-edge symbols are [x, xp] pairs")
+                        x, xp = (_read_int(s, f"{spath}/{h}", d) for h, s in enumerate(sym))
+                        cfg.append(x * d + xp)
                 entries[tuple(cfg)] = _parse_value(
                     item.get("value"), kind, f"{ipath}/value"
                 )

@@ -29,6 +29,7 @@ from .nfg import (
     enumerate_configurations,
     global_value,
     partition_function_exact,
+    table_to_choi,
 )
 from . import spa as spa_mod
 
@@ -162,7 +163,7 @@ def lct_transform(
     of zero (no transform exists there), and when an edge's identity
     residual exceeds `LCT_TOL` times the matrices' scale.
     """
-    dtype = float if g.is_classical else complex
+    dtype = g.dtype
     transforms = []
     per_edge_matrices: dict[int, dict[int, np.ndarray]] = {}
     for pos, e in enumerate(g.edges):
@@ -256,7 +257,6 @@ def verify_lct_properties(
     """
     report = PropertyReport()
     gt = tg.graph
-    dtype = float if g.is_classical else complex
 
     z_src = partition_function_exact(g, check_strict=False)
     z_tr = partition_function_exact(gt, check_strict=False)
@@ -264,7 +264,7 @@ def verify_lct_properties(
     report.record("partition_unchanged", abs(z_tr - z_src) / scale, VERIFY_REL_TOL)
 
     z_dual = spa_mod.pseudo_dual_bethe(g, mu)
-    tables = [f.as_dense(dtype) for f in gt.factors]
+    tables = [f.as_dense(g.dtype) for f in gt.factors]
     g0 = 1.0
     for t in tables:
         g0 = g0 * t[(0,) * t.ndim]
@@ -304,7 +304,7 @@ def verify_lct_properties(
 
     indicator = {}
     for pos, e in enumerate(gt.edges):
-        vec = np.zeros(gt.var_card(pos), dtype=dtype)
+        vec = np.zeros(gt.var_card(pos), dtype=g.dtype)
         vec[0] = 1.0
         for node in e.endpoints:
             indicator[(pos, node)] = vec.copy()
@@ -327,15 +327,9 @@ def verify_lct_properties(
         for tr in tg.transforms:
             d = g.edges[tr.edge_pos].alphabet_size
             for m in (tr.m_i, tr.m_j):
-                choi = _pair_function_choi(m, d)
+                choi = table_to_choi(m, [d, d])
                 dev = max(dev, float(np.abs(choi - choi.conj().T).max()))
         report.record("hermitian_structure", dev, VERIFY_ZERO_TOL)
 
     return report
 
-
-def _pair_function_choi(m: np.ndarray, d: int) -> np.ndarray:
-    """Choi view of an edge matrix over paired symbols: rows indexed by
-    the unprimed pair halves, columns by the primed halves."""
-    t = m.reshape(d, d, d, d)  # (x, x', y, y')
-    return t.transpose(0, 2, 1, 3).reshape(d * d, d * d)

@@ -11,6 +11,12 @@ every Choi matrix Hermitian PSD, weak-sense only Hermitian.
 Every edge joins exactly two distinct nodes (i, j) with i < j. Half
 edges are out of scope: terminate them with a constant-1 factor before
 building the graph.
+
+This module owns the structural facts every other module reads off a
+graph: the spanning forest (and from it the cycle rank and acyclicity),
+the Choi view of a double-edge table and its inverse, the dtype of a
+graph's tables, and, through `contraction.MAX_TABLE_ENTRIES`, the entry
+budget of any table built from them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import contract_network
+from .contraction import MAX_TABLE_ENTRIES, contract_network
 from .errors import NumericalError, ResourceError, StructuralError
 
 __all__ = [
@@ -154,6 +160,9 @@ class NormalFactorGraph:
     def __post_init__(self):
         if self.kind not in ("snfg", "denfg"):
             raise StructuralError(f"unknown graph kind {self.kind!r}")
+        # checked before anything is sized by num_nodes
+        if len(self.factors) != self.num_nodes:
+            raise StructuralError("need exactly one local function per node")
         self.edges = sorted(self.edges, key=lambda e: e.id)
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
@@ -165,8 +174,6 @@ class NormalFactorGraph:
                     raise StructuralError(f"edge {e.id}: endpoint {v} out of range")
                 incident[v].append(pos)
         self._incident = [tuple(lst) for lst in incident]
-        if len(self.factors) != self.num_nodes:
-            raise StructuralError("need exactly one local function per node")
         by_node = sorted(self.factors, key=lambda f: f.node)
         if [f.node for f in by_node] != list(range(self.num_nodes)):
             raise StructuralError("factor node ids must cover 0..num_nodes-1")
@@ -184,6 +191,11 @@ class NormalFactorGraph:
     @property
     def is_classical(self):
         return self.kind == "snfg"
+
+    @property
+    def dtype(self):
+        """The dtype of every table of the graph."""
+        return float if self.is_classical else complex
 
     @property
     def num_edges(self):
@@ -206,29 +218,8 @@ class NormalFactorGraph:
         return divmod(int(symbol), d)
 
     @property
-    def is_connected(self):
-        if self.num_nodes <= 1:
-            return True
-        return self._component_count() == 1
-
-    def _component_count(self):
-        parent = list(range(self.num_nodes))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges:
-            i, j = (find(v) for v in e.endpoints)
-            if i != j:
-                parent[i] = j
-        return len({find(v) for v in range(self.num_nodes)})
-
-    @property
     def cycle_rank(self):
-        return self.num_edges - self.num_nodes + self._component_count()
+        return self.num_edges - len(spanning_forest(self))
 
     @property
     def is_acyclic(self):
@@ -243,12 +234,49 @@ class NormalFactorGraph:
         if self.is_classical:
             raise StructuralError("Choi matrices exist only for double-edge graphs")
         dims = [self.edges[p].alphabet_size for p in self.incident(node)]
-        table = self.factors[node].as_dense(complex)
-        k = len(dims)
-        split = table.reshape([d for d in dims for _ in (0, 1)])
-        perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-        big = int(np.prod(dims)) if dims else 1
-        return split.transpose(perm).reshape(big, big)
+        return table_to_choi(self.factors[node].as_dense(complex), dims)
+
+
+def spanning_forest(g: NormalFactorGraph) -> list[int]:
+    """Edge positions of a BFS spanning forest, components rooted at
+    their lowest node, edges explored in id order."""
+    visited = [False] * g.num_nodes
+    tree = []
+    for root in range(g.num_nodes):
+        if visited[root]:
+            continue
+        visited[root] = True
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for pos in g.incident(node):
+                    i, j = g.edges[pos].endpoints
+                    other = j if node == i else i
+                    if not visited[other]:
+                        visited[other] = True
+                        tree.append(pos)
+                        nxt.append(other)
+            frontier = nxt
+    return sorted(tree)
+
+
+def table_to_choi(table, dims) -> np.ndarray:
+    """Choi view of a table over paired symbols, one axis of d*d pairs
+    (x, x') per entry d of `dims`: rows indexed by the unprimed halves,
+    columns by the primed halves, both lexicographic in axis order."""
+    k = len(dims)
+    split = table.reshape([d for d in dims for _ in (0, 1)])
+    perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
+    return split.transpose(perm).reshape(math.prod(dims), -1)
+
+
+def choi_to_table(choi, dims) -> np.ndarray:
+    """The inverse of `table_to_choi`: axes are per-edge symbol pairs."""
+    k = len(dims)
+    split = choi.reshape(list(dims) * 2)
+    perm = [a for pair in zip(range(k), range(k, 2 * k)) for a in pair]
+    return split.transpose(perm).reshape([d * d for d in dims])
 
 
 @dataclass
@@ -345,7 +373,7 @@ def partition_function_exact(
     g: NormalFactorGraph,
     *,
     order=None,
-    max_table_entries: int = 2**24,
+    max_table_entries: int = MAX_TABLE_ENTRIES,
     check_strict: bool | None = None,
 ):
     """Z(N) by variable elimination (greedy min-fill, deterministic ties).
@@ -355,10 +383,9 @@ def partition_function_exact(
     non-negative up to `Z_IMAG_TOL`; violations raise NumericalError.
     `check_strict=None` tests strictness on demand, True/False forces it.
     """
-    dtype = float if g.is_classical else complex
     cards = {pos: g.var_card(pos) for pos in range(g.num_edges)}
     scopes = [g.incident(f.node) for f in g.factors]
-    tensors = [f.as_dense(dtype) for f in g.factors]
+    tensors = [f.as_dense(g.dtype) for f in g.factors]
     z = contract_network(
         scopes, tensors, cards, order=order, max_table_entries=max_table_entries
     )

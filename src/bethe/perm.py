@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .nfg import EdgeDecl, LocalFunction, NormalFactorGraph
-from .rng import Moments
 
 __all__ = [
     "PermResult",
@@ -91,11 +90,14 @@ def check_matrix(theta) -> np.ndarray:
 
 def perm_exact(a) -> float:
     """Permanent by inclusion-exclusion over column subsets, O(2^n * n)
-    (`coeffs.perm_float`), for n up to `RYSER_CAP`."""
+    (`coeffs.perm_float`), for n up to `RYSER_CAP`. Signed entries are
+    allowed; NaN and infinite ones are not."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
     if n > RYSER_CAP:
         raise ResourceError(f"n = {n} exceeds the inclusion-exclusion cap {RYSER_CAP}")
     return _ryser(a)
@@ -308,12 +310,12 @@ def perm_bethe_degree_m(
 
     A lifting is an M-cover of `build_perm_nfg(theta)`, its block (i, j)
     the permutation of edge i*n + j, and its permanent is that cover's
-    partition function. Modes: ``lift`` enumerates all (M!)^(n^2)
-    liftings, at most `LIFT_BUDGET`, in the order of the covers module's
-    enumeration with no edge fixed; ``mc`` samples them from the covers
-    module's random covers; ``coeff`` evaluates the equivalent
-    coefficient expansion (exact, and usually far cheaper). ``auto`` =
-    coeff.
+    partition function. ``lift`` and ``mc`` average through the covers
+    module's loop, one Ryser call per chunk of stacked liftings: ``lift``
+    enumerates all (M!)^(n^2) liftings, at most `LIFT_BUDGET`, with no
+    edge fixed; ``mc`` samples `samples` random ones. ``coeff`` evaluates
+    the equivalent coefficient expansion (exact, and usually far cheaper).
+    ``auto`` = coeff.
     """
     theta = check_matrix(theta)
     if M < 1:
@@ -330,24 +332,15 @@ def perm_bethe_degree_m(
     if mode not in ("lift", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     g = _perm_nfg(theta)
-    if mode == "lift":
-        count = math.factorial(M) ** g.num_edges
-        if count > LIFT_BUDGET:
-            raise ResourceError(
-                f"{count} liftings exceed the budget {LIFT_BUDGET}; "
-                "use coeff or mc mode"
-            )
-        liftings = covers._enumerate_covers(g, M, range(g.num_edges))
-    else:
-        if samples < 1:
-            raise ValidationError("samples must be >= 1")
-        liftings = covers._random_covers(g, M, samples, seed)
-    acc = Moments()
-    while chunk := list(itertools.islice(liftings, covers.CHUNK)):
-        acc.add(_ryser(_lifted_matrices(theta, np.array(chunk))))
+    loose = range(g.num_edges) if mode == "lift" else None
+
+    def values(chunk):
+        return _ryser(_lifted_matrices(theta, np.array(chunk)))
+
+    acc = covers._average(g, M, loose, LIFT_BUDGET, "coeff or mc", samples, seed, values)
     power = acc.mean
     if mode == "lift":
-        aux = {"power": power, "liftings": count}
+        aux = {"power": power, "liftings": acc.count}
     else:
         aux = {"power": power, "stderr": acc.stderr, "samples": samples}
     return PermResult(

@@ -100,9 +100,8 @@ def _directed_keys(g: NormalFactorGraph):
 
 
 def uniform_messages(g: NormalFactorGraph) -> MessageVector:
-    dtype = float if g.is_classical else complex
     return {
-        key: np.full(g.var_card(key[0]), 1.0 / g.var_card(key[0]), dtype=dtype)
+        key: np.full(g.var_card(key[0]), 1.0 / g.var_card(key[0]), dtype=g.dtype)
         for key in _directed_keys(g)
     }
 
@@ -144,7 +143,6 @@ class _Layout:
 
     def __init__(self, g: NormalFactorGraph, rows: int = 1):
         self.g = g
-        self.dtype = float if g.is_classical else complex
         self.keys = [(p, v) for v in range(g.num_nodes) for p in g.incident(v)]
         self.sizes = np.array([g.var_card(p) for p, _ in self.keys], dtype=np.intp)
         bounds = list(itertools.accumulate(self.sizes, initial=0))
@@ -188,7 +186,7 @@ class _Layout:
 
     def pack(self, mu: MessageVector) -> np.ndarray:
         # the empty head sets the least dtype and packs a graph without edges
-        return np.concatenate([np.empty(0, self.dtype)] + [mu[k] for k in self.keys])
+        return np.concatenate([np.empty(0, self.g.dtype)] + [mu[k] for k in self.keys])
 
     def unpack(self, x: np.ndarray) -> MessageVector:
         out: MessageVector = {}
@@ -302,6 +300,8 @@ def _run_batch(
         damping = 0.0 if g.is_acyclic else DAMPING_CYCLIC
     if not 0.0 <= damping < 1.0:
         raise ValidationError(f"damping {damping:g} must lie in [0, 1)")
+    if not 0.0 <= fp_tol < np.inf:
+        raise ValidationError(f"tolerance {fp_tol:g} must be finite and >= 0")
     R = len(X)
     running = np.ones(R, dtype=bool)  # a row stops only once it converged
     iterations = np.zeros(R, dtype=int)
@@ -432,7 +432,7 @@ def beliefs(g: NormalFactorGraph, mu: MessageVector) -> Beliefs:
     node_b = []
     for node, f in enumerate(g.factors):
         gather, values = layout.nodes[node]
-        table = np.zeros(f.shape, layout.dtype)
+        table = np.zeros(f.shape, layout.g.dtype)
         flat = np.ravel_multi_index(tuple(f.support()[0].T), f.shape)
         np.put(table, flat, values * x[gather].prod(axis=1))
         kappa = table.sum()

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contraction import contract_network
+from .contraction import MAX_TABLE_ENTRIES, contract_network
 from .covers import degree_m_root
 from .errors import ResourceError, ValidationError
 from .nfg import NormalFactorGraph
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 PE_DENSE_CAP = 64  # largest d^M for which P_e may be materialized densely
-MAX_TABLE_ENTRIES = 2**24  # entry budget of the tables either route builds
 MC_CHUNK = 1 << 14  # samples per generator stream and per Moments update
 MC_BLOCK = 1 << 11  # samples per integrand evaluation
 
@@ -188,10 +187,9 @@ def zbm_via_pe(
                 f"exceeds the budget {max_table_entries}"
             )
     type_tables = {c: _type_steps(c, M) for c in set(g.var_cards())}
-    dtype = float if g.is_classical else complex
     tensors = [
         _aggregated_node_table(
-            g.factors[node].as_dense(dtype),
+            g.factors[node].as_dense(g.dtype),
             [type_tables[g.var_card(pos)][1] for pos in inc],
             M,
         )

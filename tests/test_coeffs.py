@@ -26,6 +26,7 @@ from bethe.coeffs import (
     perm_float,
     u_average_energy,
 )
+from bethe.errors import ValidationError
 from bethe.perm import cycle_count
 from bethe.rng import seeded_rng
 
@@ -43,6 +44,11 @@ def perm_pair_matrix(sigma1, sigma2, n):
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("n, M", [(-1, 3), (0, 3), (2, 0), (2, -2)])
+    def test_bad_size_rejected_at_call(self, n, M):
+        with pytest.raises(ValidationError):
+            enumerate_gamma(n, M)  # before any matrix is drawn
+
     def test_n2_counts(self):
         for M in (1, 2, 3, 5):
             assert sum(1 for _ in enumerate_gamma(2, M)) == M + 1

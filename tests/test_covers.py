@@ -159,6 +159,13 @@ class TestDegreeM:
         with pytest.raises(ResourceError):
             degree_m_bethe(g, 5, "gauge", exact_budget=100)
 
+    def test_budget_errors_name_the_way_out(self):
+        g = random_snfg("fig5", seed=0)
+        with pytest.raises(ResourceError, match="use gauge or mc mode"):
+            degree_m_bethe(g, 3, "exact", exact_budget=100)
+        with pytest.raises(ResourceError, match="use mc mode"):
+            degree_m_bethe(g, 5, "gauge", exact_budget=100)
+
     def test_bad_degree_or_sample_count_rejected(self):
         g = random_snfg("tree3", seed=0)
         with pytest.raises(ValidationError):

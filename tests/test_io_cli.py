@@ -432,3 +432,103 @@ def test_import_loads_no_scipy_sparse_or_special():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _theta_doc(mutate):
+    """The `graph-random --topology theta` document, mutated in place."""
+    doc = json.loads(graph_to_json(random_denfg("theta", alphabet=2, seed=0)))
+    mutate(doc)
+    return doc
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+SPARSE_DENFG = {
+    "kind": "denfg",
+    "edges": [{"id": 0, "endpoints": [0, 1], "alphabet": 2}],
+    "factors": [
+        {"node": 0, "sparse": [{"config": [[0, 2]], "value": [1.0, 0.0]}]},
+        {"node": 1, "dense": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    ],
+}
+
+# each malformed document, with the JSON path its error must name
+BAD_GRAPHS = {
+    "node_not_an_integer": (_theta_doc(_set(["factors", 0, "node"], "a")), "/factors/0/node"),
+    "fractional_alphabet": (
+        _theta_doc(_set(["edges", 0, "alphabet"], 2.5)),
+        "/edges/0/alphabet",
+    ),
+    "boolean_edge_id": (_theta_doc(_set(["edges", 1, "id"], True)), "/edges/1/id"),
+    "boolean_endpoint": (
+        _theta_doc(_set(["edges", 1, "endpoints", 0], False)),
+        "/edges/1/endpoints/0",
+    ),
+    "boolean_value": (
+        _theta_doc(_set(["factors", 0, "dense", 0], [True, 0])),
+        "/factors/0/dense/0/0",
+    ),
+    "nan_value": (
+        _theta_doc(_set(["factors", 0, "dense", 0], [float("nan"), 0.0])),
+        "/factors/0/dense/0/0",
+    ),
+    "infinite_value": (
+        _theta_doc(_set(["factors", 1, "dense", 3], [0.0, float("inf")])),
+        "/factors/1/dense/3/1",
+    ),
+    # [0, 2] would alias the pair (1, 0) if read as 0 * 2 + 2
+    "pair_half_out_of_range": (SPARSE_DENFG, "/factors/0/sparse/0/config/0/1"),
+    "snfg_symbol_out_of_range": (
+        json.loads(
+            MINIMAL_SNFG.replace(
+                '"dense": [1.0, 2.0]', '"sparse": [{"config": [2], "value": 1}]'
+            )
+        ),
+        "/factors/0/sparse/0/config/0",
+    ),
+}
+
+BAD_FLAGS = {
+    "coeffs_n_negative": ["coeffs", "--n", "-1"],
+    "coeffs_n_zero": ["coeffs", "--n", "0"],
+    "coeffs_M_zero": ["coeffs", "--M", "0"],
+    "coeffs_M_negative": ["coeffs", "--M", "-2"],
+    "gct_Mmax_zero": ["gct", "--Mmax", "0"],
+    "gct_graphs_negative": ["gct", "--graphs", "-1"],
+    "gct_samples_zero": ["gct", "--samples", "0"],
+    "spa_tol_negative": ["spa", "--tol", "-1"],
+    "spa_tol_nan": ["spa", "--tol", "nan"],
+    "spa_restarts_negative": ["spa", "--restarts", "-3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS) + sorted(BAD_FLAGS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    doc, path = BAD_GRAPHS.get(case, (json.loads(MINIMAL_SNFG), None))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    if case in BAD_GRAPHS:
+        argv = ["graph-validate", "--graph", str(graph)]
+    else:
+        argv = BAD_FLAGS[case]
+        if argv[0] == "spa":
+            argv = argv + ["--graph", str(graph)]
+        if argv[0] == "gct":
+            argv = argv + ["--out", str(tmp_path / "gct_")]
+    # in-process: any exception other than a library error escapes main
+    # and fails the test
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    if path is not None:
+        assert err.rstrip().endswith(f"at {path}")

@@ -11,6 +11,8 @@ from bethe.nfg import (
     global_value,
     partition_function_bruteforce,
     partition_function_exact,
+    table_to_choi,
+    choi_to_table,
     validate_graph,
 )
 from bethe.perm import build_perm_nfg, perm_naive
@@ -239,3 +241,75 @@ class TestSparseStorage:
         dense = f.as_dense(float)
         for cfg, val in zip(*f.support()):
             assert dense[tuple(cfg)] == val
+
+
+def ones_graph(num_nodes, pairs):
+    """Classical graph with binary edges and all-ones tables; a node with
+    no edges carries a 0-d table."""
+    edges = [EdgeDecl(k, pair, 2) for k, pair in enumerate(pairs)]
+    factors = []
+    for node in range(num_nodes):
+        shape = (2,) * sum(node in pair for pair in pairs)
+        factors.append(LocalFunction(node, shape, dense=np.ones(shape)))
+    return NormalFactorGraph("snfg", num_nodes, edges, factors)
+
+
+class TestCycleRank:
+    # (graph, edges E, nodes N, connected components C), C counted by hand
+    CASES = {
+        "fig1": (random_snfg("fig1", seed=0), 5, 4, 1),
+        "fig5": (random_snfg("fig5", seed=0), 6, 4, 1),
+        "theta": (random_snfg("theta", seed=0), 3, 2, 1),
+        "tree3": (random_snfg("tree3", seed=0), 2, 3, 1),
+        "two_thetas": (ones_graph(4, [(0, 1)] * 3 + [(2, 3)] * 3), 6, 4, 2),
+        "isolated_node": (ones_graph(3, [(0, 1)] * 3), 3, 3, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edges_minus_nodes_plus_components(self, name):
+        g, E, N, C = self.CASES[name]
+        assert (g.num_edges, g.num_nodes) == (E, N)
+        assert g.cycle_rank == E - N + C
+        assert g.is_acyclic == (E - N + C == 0)
+
+    def test_isolated_node_has_a_0d_table(self):
+        g, *_ = self.CASES["isolated_node"]
+        assert g.incident(2) == () and g.factors[2].shape == ()
+        assert partition_function_exact(g) == pytest.approx(8.0)
+
+
+class TestChoiViews:
+    @pytest.mark.parametrize("dims", [[2], [2, 3], [2, 2, 2]])
+    def test_round_trip(self, dims):
+        rng = seeded_rng(4, 0)
+        shape = [d * d for d in dims]
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        choi = table_to_choi(table, dims)
+        big = int(np.prod(dims))
+        assert choi.shape == (big, big)
+        assert np.array_equal(choi_to_table(choi, dims), table)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_edge_matrix_view(self, d):
+        # an edge matrix over paired symbols, rows (x, x'), columns (y, y'),
+        # viewed with rows (x, y) and columns (x', y')
+        rng = seeded_rng(5, d)
+        m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        expected = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.array_equal(table_to_choi(m, [d, d]), expected)
+
+    def test_choi_matrix_is_the_table_view(self):
+        g = random_denfg("fig1", alphabet=2, seed=3)
+        for node in range(g.num_nodes):
+            dims = [2] * len(g.incident(node))
+            table = g.factors[node].as_dense(complex)
+            assert np.array_equal(g.choi_matrix(node), table_to_choi(table, dims))
+
+
+def test_factor_count_checked_before_endpoints():
+    # the per-node lists are sized by num_nodes, which a graph document
+    # sets through its largest endpoint: the factor count bounds it first
+    edges = [EdgeDecl(0, (0, 1), 2), EdgeDecl(1, (1, 5), 2)]
+    factors = [LocalFunction(0, (2,), dense=np.ones(2))]
+    with pytest.raises(StructuralError, match="one local function per node"):
+        NormalFactorGraph("snfg", 2, edges, factors)

@@ -67,6 +67,14 @@ class TestExact:
         with pytest.raises(ResourceError):
             perm_exact(np.ones((25, 25)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            perm_exact(np.array([[1.0, entry], [2.0, 3.0]]))
+
+    def test_signed_entries_allowed(self):
+        assert perm_exact(np.array([[1.0, -2.0], [2.0, 3.0]])) == -1.0
+
     @given(st.floats(min_value=0.1, max_value=8.0), st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_homogeneity_and_permutation_invariance(self, alpha, seed):
@@ -322,6 +330,10 @@ class TestDegreeM:
 
     def test_lift_budget(self):
         with pytest.raises(ResourceError):
+            perm_bethe_degree_m(np.ones((3, 3)), 3, "lift")
+
+    def test_lift_budget_names_the_way_out(self):
+        with pytest.raises(ResourceError, match="use coeff or mc mode"):
             perm_bethe_degree_m(np.ones((3, 3)), 3, "lift")
 
     def test_degree_sum_bound_m1_case(self):
