@@ -411,6 +411,8 @@ def pascal_triangles(max_M: int):
     """Rows (M, k1, k2, C, C_B, C_scS) for the 2x2 matrices
     [[k1, k2], [k2, k1]] / M, k1 + k2 = M, M = 0..max_M. The M = 0 row is
     the formal unit seed that makes the recursions close."""
+    if max_M < 0:
+        raise ValidationError(f"need max_M >= 0, got {max_M}")
     rows = [(0, 0, 0, 1, Fraction(1), Fraction(1))]
     for M in range(1, max_M + 1):
         for k2 in range(M + 1):

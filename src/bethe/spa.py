@@ -27,7 +27,8 @@ moved to the receiving slot of its edge.
 its restarts together. Each restart keeps its own active flag, iteration
 count and residual, and stops on its own; if a normalizer of its step
 vanishes, it re-randomizes its messages from its own seeded stream and
-iterates on.
+iterates on; a restart whose normalizers vanish on more than
+`MAX_VANISHING_STEPS` consecutive steps stops there, not converged.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ MAX_ITERS = 10000
 DAMPING_CYCLIC = 0.3
 Z_ZERO_TOL = 1e-13
 NEAR_ZERO_SUM = 1e-12
+MAX_VANISHING_STEPS = 5  # consecutive re-randomizations before a row gives up
 
 
 @dataclass
@@ -221,7 +223,10 @@ class _Layout:
             terms.append((pre * suf * values).reshape(n, -1))
         loo = np.concatenate(terms, axis=1).ravel()
         bins = self.bins[: loo.size]
-        flat = np.bincount(bins, weights=loo.real, minlength=n * self.L)
+        # with no support point at all, bincount would return integers
+        flat = np.bincount(bins, weights=loo.real, minlength=n * self.L).astype(
+            float, copy=False
+        )
         if np.iscomplexobj(loo):
             flat = flat + 1j * np.bincount(bins, weights=loo.imag, minlength=n * self.L)
         flat = flat.reshape(n, self.L)
@@ -303,7 +308,9 @@ def _run_batch(
     if not 0.0 <= fp_tol < np.inf:
         raise ValidationError(f"tolerance {fp_tol:g} must be finite and >= 0")
     R = len(X)
-    running = np.ones(R, dtype=bool)  # a row stops only once it converged
+    running = np.ones(R, dtype=bool)
+    converged = np.zeros(R, dtype=bool)
+    vanishing = np.zeros(R, dtype=int)  # consecutive steps with a vanished normalizer
     iterations = np.zeros(R, dtype=int)
     residual = np.full(R, np.inf)
     rerandomized = np.zeros(R, dtype=int)
@@ -317,8 +324,12 @@ def _run_batch(
         new, vanished, near = layout.step(old)
         iterations[active] = it
         near_zero[active] += near
+        vanishing[active] = np.where(vanished, vanishing[active] + 1, 0)
         if vanished.any():
             for r in active[vanished]:
+                if vanishing[r] > MAX_VANISHING_STEPS:
+                    running[r] = False
+                    continue
                 X[r] = layout.pack(random_messages(g, rngs[r]))
                 rerandomized[r] += 1
             active, old, new = active[~vanished], old[~vanished], new[~vanished]
@@ -331,7 +342,9 @@ def _run_batch(
         residual[active] = res
         if not np.isfinite(new).all():
             raise NumericalError("non-finite message entry during SPA")
-        running[active[res <= fp_tol]] = False
+        done = active[res <= fp_tol]
+        running[done] = False
+        converged[done] = True
     z_edges, z_nodes = layout.normalizers(X)
     reports = []
     for r in range(R):
@@ -342,7 +355,7 @@ def _run_batch(
             z_b_spa, degenerate = None, True
         reports.append(
             SpaReport(
-                converged=not running[r],
+                converged=bool(converged[r]),
                 iterations=int(iterations[r]),
                 residual=float(residual[r]),
                 z_edges=ze,

@@ -6,6 +6,11 @@ classes: P_e(u, v) = 1/|class| when u and v share a symbol composition,
 else 0. Contracting the type-aggregated network gives the M-th power of
 the degree-M Bethe partition function exactly; its node tables are
 built one cover copy at a time (method of types), never as M-fold lifts.
+Each copy step adds, per support configuration s of the node, the
+current table times f(s) into the next level's flat table at the
+destinations sum_a offset_a[s_a]: precomputed per-axis successor
+indices times the axis's row-major stride. A step costs
+(#support) * prod_a T_m(c_a) operations, with T_m(c) = num_types(c, m).
 Replacing P_e by its integral representation over uniformly random
 complex unit vectors gives an unbiased Monte Carlo estimator of the
 same quantity. The estimator densifies each node table once per call,
@@ -151,15 +156,30 @@ def _aggregated_node_table(table, steps, M):
     A_{m+1}[t] = sum_s table[s] * A_m[t - e_s].
 
     For a fixed configuration s the map t -> t + e_s is injective on every
-    axis, so each scatter-add touches distinct entries; configurations are
-    added in row-major order."""
+    axis, so each scatter-add touches distinct entries. Its destinations
+    are flat indices: the broadcast sum over axes a of the successor
+    column `steps[a][m][:, s_a]` times axis a's row-major stride at level
+    m + 1. A step costs (#support) * prod_a T_m(c_a). The configurations
+    are added in row-major order, each as one gather-add-scatter, so every
+    entry is the same sum in the same order as when the multi-dimensional
+    table is indexed with `np.ix_`: the result is bit-identical to that
+    form. A 0-d table gives `table ** M`."""
     support = [(tuple(s), table[tuple(s)]) for s in np.argwhere(table)]
-    acc = np.ones((1,) * table.ndim, dtype=table.dtype)
+    k = table.ndim
+    acc = np.ones((1,) * k, dtype=table.dtype)
     for m in range(M):
-        nxt = np.zeros([num_types(c, m + 1) for c in table.shape], dtype=table.dtype)
+        shape = [num_types(c, m + 1) for c in table.shape]
+        # offsets[a][x]: flat offset along axis a of each level-m type plus x
+        offsets = [
+            (st[m] * math.prod(shape[a + 1 :])).T.reshape(
+                (c,) + (1,) * a + (-1,) + (1,) * (k - 1 - a)
+            )
+            for a, (st, c) in enumerate(zip(steps, table.shape))
+        ]
+        nxt = np.zeros(math.prod(shape), dtype=table.dtype)
         for s, value in support:
-            nxt[np.ix_(*(st[m][:, x] for st, x in zip(steps, s)))] += value * acc
-        acc = nxt
+            nxt[sum(off[x] for off, x in zip(offsets, s))] += value * acc
+        acc = nxt.reshape(shape)
     return acc
 
 

@@ -300,3 +300,8 @@ class TestPascalTriangles:
         assert rows[(2, 1, 1)][2] == 1
         assert rows[(3, 3, 0)][2] == Fraction(4, 81)
         assert rows[(0, 0, 0)] == (1, Fraction(1), Fraction(1))
+
+    def test_negative_degree_rejected(self):
+        assert len(pascal_triangles(0)) == 1
+        with pytest.raises(ValidationError):
+            pascal_triangles(-1)

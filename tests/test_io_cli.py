@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from bethe import spa
 from bethe.cli import main
 from bethe.errors import ValidationError
 from bethe.gct import random_denfg, random_snfg
@@ -509,6 +511,45 @@ BAD_FLAGS = {
     "spa_tol_nan": ["spa", "--tol", "nan"],
     "spa_restarts_negative": ["spa", "--restarts", "-3"],
 }
+
+
+def test_coeffs_triangle_negative_degree_exits_2(capsys):
+    code = main(["coeffs", "--triangle", "--M", "-2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def _zero_support_theta(nodes):
+    """The theta graph of `graph-random --kind snfg --topology theta
+    --seed 0` with every table entry of the given nodes set to 0."""
+    doc = json.loads(graph_to_json(random_snfg("theta", seed=0)))
+    for node in nodes:
+        doc["factors"][node]["dense"] = [0.0] * len(doc["factors"][node]["dense"])
+    return doc
+
+
+@pytest.mark.parametrize("command", ["spa", "lct"])
+@pytest.mark.parametrize("nodes", [(0, 1), (1,)], ids=["all_zero", "node1_zero"])
+def test_zero_support_stops_with_an_exit_code(tmp_path, capsys, command, nodes):
+    # every update from positive messages meets a vanishing normalizer;
+    # each start gives up after MAX_VANISHING_STEPS re-randomizations
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(_zero_support_theta(nodes)))
+    start = time.monotonic()
+    code = main([command, "--graph", str(graph)])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
+    if command == "spa":
+        # a single start reports its verdict in the payload
+        assert code == 0
+        payload = json.loads(captured.out)["payload"]
+        assert payload["converged"] is False
+        assert payload["iterations"] == spa.MAX_VANISHING_STEPS + 1
+    else:
+        assert code == 4 and captured.err.startswith("error: no SPA restart converged")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_GRAPHS) + sorted(BAD_FLAGS))

@@ -374,6 +374,20 @@ class TestBestFixedPoint:
             best_fixed_point(vanishing_graph(), restarts=3, max_iters=5)
         assert draws == {1: 5, 2: 1, 3: 5, 4: 1, 5: 5, 6: 1, 7: 5}
 
+    def test_vanishing_normalizer_gives_up(self):
+        # the limit stops a start well before max_iters, unconverged
+        _, report = spa_run(vanishing_graph())
+        assert not report.converged
+        assert report.iterations == spa.MAX_VANISHING_STEPS + 1
+        assert report.rerandomized == spa.MAX_VANISHING_STEPS
+
+    def test_step_without_support_is_float(self):
+        g = vanishing_graph()
+        g.factors[1] = LocalFunction(1, (2,), dense=np.zeros(2))
+        layout = spa._Layout(g)
+        new, vanished, _ = layout.step(layout.pack(uniform_messages(g))[None])
+        assert new.dtype == float and vanished.all()
+
     def test_frustrated_cycle_lists_candidates(self):
         g = random_snfg("theta", seed=13)
         mu, report = best_fixed_point(g, restarts=3, seed=0)

@@ -9,7 +9,7 @@ from bethe.covers import degree_m_bethe
 from bethe import sst
 from bethe.errors import NumericalError, ResourceError, ValidationError
 from bethe.gct import random_denfg, random_snfg
-from bethe.nfg import LocalFunction, partition_function_exact
+from bethe.nfg import LocalFunction, NormalFactorGraph, partition_function_exact
 from bethe.perm import build_perm_nfg, perm_bethe_degree_m
 from bethe.rng import Moments, seeded_rng
 from bethe.sst import (
@@ -147,6 +147,20 @@ class TestZbmViaPe:
         with pytest.raises(ResourceError, match="node 1: .* 25 entries"):
             zbm_via_pe(g, 4, max_table_entries=10)
 
+    def test_isolated_scalar_node_multiplies_the_value(self):
+        # a node with no edge is a factor c on every cover copy, so the
+        # M-fold average gains c ** M and its M-th root gains c
+        g = random_snfg("theta", seed=0)
+        c = 1.7
+        h = NormalFactorGraph(
+            kind=g.kind,
+            num_nodes=g.num_nodes + 1,
+            edges=g.edges,
+            factors=g.factors + [LocalFunction(g.num_nodes, (), dense=np.array(c))],
+        )
+        for M in range(1, 5):
+            assert zbm_via_pe(h, M) == pytest.approx(c * zbm_via_pe(g, M), rel=1e-15)
+
     def test_negative_average_raises(self):
         # weak-sense double edge: Hermitian but not PSD, Re Z = -1
         g = two_node_graph([1.0, 0.0, 0.0, -2.0], [1.0, 0.0, 0.0, 1.0], kind="denfg")
@@ -170,6 +184,51 @@ class TestZbmViaPe:
             zbm_via_sst_mc(g, 0, samples=10, seed=0)
         with pytest.raises(ValidationError):
             zbm_via_sst_mc(g, 2, samples=0, seed=0)
+
+
+def _ix_reference(table, steps, M):
+    """The aggregated node table built with one `np.ix_` scatter-add per
+    support configuration, in row-major order."""
+    support = [(tuple(s), table[tuple(s)]) for s in np.argwhere(table)]
+    acc = np.ones((1,) * table.ndim, dtype=table.dtype)
+    for m in range(M):
+        nxt = np.zeros([num_types(c, m + 1) for c in table.shape], dtype=table.dtype)
+        for s, value in support:
+            nxt[np.ix_(*(st[m][:, x] for st, x in zip(steps, s)))] += value * acc
+        acc = nxt
+    return acc
+
+
+def _kernel_tables():
+    """Dense, sparse and all-zero tables of degree 0 to 3, real and
+    complex, with cards 2, 3 and 4 mixed on one node."""
+    rng = seeded_rng(31, 0)
+    for shape in [(), (3,), (2, 4), (4, 2, 3), (3, 3, 3)]:
+        for dtype in (float, complex):
+            dense = rng.standard_normal(shape)
+            if dtype is complex:
+                dense = dense + 1j * rng.standard_normal(shape)
+            dense = np.asarray(dense, dtype=dtype)
+            yield dense
+            yield dense * (rng.uniform(size=shape) < 0.4)
+            yield np.zeros(shape, dtype=dtype)
+
+
+class TestAggregatedNodeTable:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_bit_identical_to_ix_scatter(self, M):
+        for table in _kernel_tables():
+            steps = [sst._type_steps(c, M)[1] for c in table.shape]
+            got = sst._aggregated_node_table(table, steps, M)
+            want = _ix_reference(table, steps, M)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_degree_zero_is_the_mth_power(self, M):
+        # powers of 1 + i are exact in any multiplication order
+        got = sst._aggregated_node_table(np.array(1 + 1j), [], M)
+        assert got.shape == () and got == [1 + 1j, 2j, -2 + 2j, -4][M - 1]
 
 
 class TestFubiniStudy:
