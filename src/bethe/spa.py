@@ -69,7 +69,7 @@ MAX_ITERS = 10000
 DAMPING_CYCLIC = 0.3
 Z_ZERO_TOL = 1e-13
 NEAR_ZERO_SUM = 1e-12
-MAX_VANISHING_STEPS = 5  # consecutive re-randomizations before a row gives up
+MAX_VANISHING_STEPS = 5  # re-randomizations in a row before a start gives up
 
 
 @dataclass
@@ -308,9 +308,10 @@ def _run_batch(
     if not 0.0 <= fp_tol < np.inf:
         raise ValidationError(f"tolerance {fp_tol:g} must be finite and >= 0")
     R = len(X)
+    # a row stops once it converged or its normalizers vanished on more
+    # than MAX_VANISHING_STEPS consecutive steps
     running = np.ones(R, dtype=bool)
-    converged = np.zeros(R, dtype=bool)
-    vanishing = np.zeros(R, dtype=int)  # consecutive steps with a vanished normalizer
+    vanishing = np.zeros(R, dtype=int)
     iterations = np.zeros(R, dtype=int)
     residual = np.full(R, np.inf)
     rerandomized = np.zeros(R, dtype=int)
@@ -342,9 +343,7 @@ def _run_batch(
         residual[active] = res
         if not np.isfinite(new).all():
             raise NumericalError("non-finite message entry during SPA")
-        done = active[res <= fp_tol]
-        running[done] = False
-        converged[done] = True
+        running[active[res <= fp_tol]] = False
     z_edges, z_nodes = layout.normalizers(X)
     reports = []
     for r in range(R):
@@ -355,7 +354,7 @@ def _run_batch(
             z_b_spa, degenerate = None, True
         reports.append(
             SpaReport(
-                converged=bool(converged[r]),
+                converged=bool(not running[r] and vanishing[r] <= MAX_VANISHING_STEPS),
                 iterations=int(iterations[r]),
                 residual=float(residual[r]),
                 z_edges=ze,
